@@ -30,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "exec/resumable.h"
 #include "exec/thread_pool.h"
 #include "fault/breaker.h"
@@ -306,7 +308,10 @@ int main() {
   const std::string dir = std::getenv("TMPDIR") != nullptr
                               ? std::string(std::getenv("TMPDIR"))
                               : std::string("/tmp");
-  const std::string ckpt = dir + "/sensedroid_chaos_soak.ckpt";
+  // Per process, so concurrent soaks (two checkouts, two ctest runs)
+  // never restore each other's snapshot.
+  const std::string ckpt = dir + "/sensedroid_chaos_soak." +
+                           std::to_string(::getpid()) + ".ckpt";
 
   std::printf("chaos soak: %zu rounds, restart every %zu, checkpoint every "
               "%zu (%s mode)\n",

@@ -41,10 +41,10 @@ int main() {
 
       cs::ChsOptions o;
       o.max_support = kK;
-      o.refit = cs::Refit::kOls;
+      o.refit_solver = "ols";
       ols += linalg::nrmse(cs::chs_reconstruct(basis, meas, o).reconstruction,
                            x);
-      o.refit = cs::Refit::kGls;
+      o.refit_solver = "gls";
       gls += linalg::nrmse(cs::chs_reconstruct(basis, meas, o).reconstruction,
                            x);
     }

@@ -81,7 +81,7 @@ ContextWindow ContextEngine::process(const sensing::SampleBatch& batch,
   } else {
     const auto meas = batch.to_measurement(sensor_sigma);
     cs::ChsOptions opts;
-    opts.refit = sensor_sigma > 0.0 ? cs::Refit::kGls : cs::Refit::kOls;
+    opts.refit_solver = sensor_sigma > 0.0 ? "gls" : "ols";
     const auto res = cs::chs_reconstruct(basis_for(batch.window), meas, opts);
     out.reconstruction = res.reconstruction;
   }

@@ -5,9 +5,9 @@
 // (loopback) and/or a Unix-domain socket, speaks the length-prefixed
 // framing of the middleware wire codec (gateway/framing.h), and feeds
 // every decoded report through a bounded queue into a caller-supplied
-// sink — a Broker, a LocalCloud router, or a bench counter.  One epoll
-// thread owns every socket non-blockingly (the hardened patterns of
-// obs/telemetry_server.cpp: connection cap, per-connection byte bounds,
+// sink — a Broker, a LocalCloud router, or a bench counter.  The
+// framing protocol runs on net::Reactor, the epoll server shared with
+// the telemetry port (connection cap, read budget, pending-ack cap,
 // idle-deadline sweeps); one drain thread owns the sink.
 //
 // Ingest contract, per frame, answered with one status byte in
@@ -30,9 +30,11 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 
@@ -40,6 +42,7 @@
 #include "gateway/ingest_queue.h"
 #include "gateway/last_report_cache.h"
 #include "middleware/pubsub.h"
+#include "net/reactor.h"
 
 namespace sensedroid::gateway {
 
@@ -57,30 +60,16 @@ struct GatewayConfig {
   /// the gateway degrades by refusing, never by queueing.
   std::size_t max_connections = 1024;
 
-  /// Per-frame ceiling (clamped to wire kMaxFrameBytes).  Honest
-  /// telemetry is tens of bytes; deployments can tighten this to reject
-  /// absurd claims without buffering toward them.
-  std::size_t max_frame_bytes = middleware::kMaxFrameBytes;
-
-  /// Per-connection unread-ack ceiling: a publisher that never reads its
-  /// status bytes is dropped once this much response data is pending.
-  std::size_t max_pending_out_bytes = 1u << 20;
-
   /// Bounded ingest queue depth — the backpressure knob.
   std::size_t queue_depth = 4096;
 
   /// Last-report cache capacity (distinct senders, LRU-evicted).
   std::size_t cache_capacity = 65536;
 
-  /// Connections with no received bytes for this long are swept
-  /// (slowloris / dead-peer defense).
+  /// Connections that complete no frame for this long are swept
+  /// (slowloris / dead-peer defense): the deadline resets only when a
+  /// frame is answered, so trickling a partial frame cannot hold a slot.
   double idle_timeout_s = 30.0;
-
-  /// Also emit per-connection series gw.conn.frames{conn="<id>"} /
-  /// gw.conn.busy{conn="<id>"}.  Off by default: at 10k+ connections the
-  /// label cardinality would drown the registry (its own guard would
-  /// start dropping series); aggregate counters are always emitted.
-  bool per_connection_metrics = false;
 };
 
 class Gateway {
@@ -108,11 +97,9 @@ class Gateway {
   /// run by the destructor.
   void stop();
 
-  bool running() const noexcept {
-    return running_.load(std::memory_order_acquire);
-  }
+  bool running() const noexcept { return reactor_.running(); }
   /// Bound TCP port (valid after start() when listen_tcp).
-  std::uint16_t tcp_port() const noexcept { return tcp_port_; }
+  std::uint16_t tcp_port() const noexcept { return reactor_.tcp_port(); }
   const GatewayConfig& config() const noexcept { return config_; }
 
   /// Queryable last-report cache (sensd idiom).
@@ -137,26 +124,18 @@ class Gateway {
   Stats stats() const noexcept;
 
  private:
-  struct Conn;
+  using Clock = std::chrono::steady_clock;
+  class Conn;
 
-  void serve_loop();
+  IngestStatus ingest(std::span<const std::uint8_t> frame);
+  int tick();
+  void publish_metrics();
   void drain_loop();
-  bool handle_readable(int fd, Conn& c);
-  void flush_out(int fd, Conn& c, bool& dead);
 
   GatewayConfig config_;
   Sink sink_;
   std::unique_ptr<IngestQueue> queue_;
   std::unique_ptr<LastReportCache> cache_;
-
-  int tcp_listen_fd_ = -1;
-  int uds_listen_fd_ = -1;
-  int wake_fd_ = -1;
-  int epoll_fd_ = -1;
-  std::uint16_t tcp_port_ = 0;
-  std::thread serve_thread_;
-  std::thread drain_thread_;
-  std::atomic<bool> running_{false};
 
   std::atomic<std::uint64_t> conns_opened_{0};
   std::atomic<std::uint64_t> conns_dropped_{0};
@@ -169,6 +148,14 @@ class Gateway {
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> sink_errors_{0};
   std::atomic<std::uint64_t> bytes_rx_{0};
+
+  // gw.* publishing state: the serve thread's tick, then stop() after
+  // the reactor has joined.
+  Stats last_pub_;
+  Clock::time_point next_publish_;
+
+  net::Reactor reactor_;
+  std::thread drain_thread_;
 };
 
 }  // namespace sensedroid::gateway

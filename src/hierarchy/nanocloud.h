@@ -56,7 +56,7 @@ struct NanoCloudConfig {
   /// makes atom selection reliable even at tiny budgets — and GLS refit
   /// because phone fleets are heterogeneous.
   cs::ChsOptions chs{.interpolation = cs::Interpolation::kLinear,
-                     .refit = cs::Refit::kGls};
+                     .refit_solver = "gls"};
   /// Add infrastructure sensors on cells without phone coverage.
   bool infrastructure_backfill = false;
   /// Battery capacity per phone in joules (default: 2014-era handset).

@@ -18,21 +18,21 @@
 // cannot change a single deterministic byte of the campaign's RunReport.
 //
 // It is a diagnostics port, not a web server: one request per
-// connection, all connections multiplexed non-blockingly on one epoll
-// thread.  Hardened against misbehaving clients (PR 7): a bounded
-// number of simultaneous connections (extras are closed on accept), a
-// bounded request size (oversized requests get 400 and the connection
-// is closed), and a per-connection deadline — a client that stalls
-// mid-request (slowloris) is timed out and its fd closed WITHOUT ever
-// blocking another client's scrape, because no socket read or write on
-// this thread blocks.
+// connection, served as a protocol on net::Reactor, which multiplexes
+// every connection non-blockingly on one epoll thread.  Hardened
+// against misbehaving clients: a bounded number of simultaneous
+// connections (extras are closed on accept), a bounded request size
+// (oversized requests get 400 and the connection is closed), and a
+// per-connection deadline — a client that stalls mid-request
+// (slowloris) is timed out and its fd closed WITHOUT ever blocking
+// another client's scrape.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 
+#include "net/reactor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -77,11 +77,9 @@ class TelemetryServer {
   /// Idempotent; also run by the destructor.
   void stop();
 
-  bool running() const noexcept {
-    return running_.load(std::memory_order_acquire);
-  }
+  bool running() const noexcept { return reactor_.running(); }
   /// Bound port (valid after start() returned true).
-  std::uint16_t port() const noexcept { return port_; }
+  std::uint16_t port() const noexcept { return reactor_.tcp_port(); }
 
   /// Overrides the abuse bounds.  Call before start(); values are read
   /// by the serving thread without further synchronization.
@@ -96,7 +94,7 @@ class TelemetryServer {
   /// Connections closed unserved: over the connection cap, dead before
   /// a full request, or timed out mid-request (slowloris).
   std::uint64_t connections_dropped() const noexcept {
-    return dropped_.load(std::memory_order_relaxed);
+    return dropped_.load(std::memory_order_relaxed) + reactor_.refused();
   }
 
   /// Builds the response body + status for `path` exactly as the socket
@@ -110,18 +108,14 @@ class TelemetryServer {
   Response handle(std::string_view path) const;
 
  private:
-  void serve_loop();
+  class Conn;
 
   TelemetrySources sources_;
   Limits limits_{};
   std::uint16_t requested_port_;
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: stop() pokes the epoll wait
-  std::thread thread_;
-  std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> dropped_{0};
+  net::Reactor reactor_;
 };
 
 }  // namespace sensedroid::obs

@@ -8,10 +8,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "exec/resumable.h"
 #include "exec/thread_pool.h"
@@ -35,9 +38,15 @@ namespace so = sensedroid::obs;
 
 namespace {
 
+// Unique per process and test: ctest -j runs this suite's tests and
+// their sanitizer twins concurrently, and a shared checkpoint path would
+// let one campaign restore another's snapshot.
 std::string tmp_path(const char* name) {
   const char* dir = std::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return std::string(dir != nullptr ? dir : "/tmp") + "/" +
+         std::to_string(::getpid()) + "_" + test->test_suite_name() + "." +
+         test->name() + "_" + name;
 }
 
 // ------------------------------------------------------------ codec unit

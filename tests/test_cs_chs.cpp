@@ -123,8 +123,8 @@ TEST(Chs, GlsBeatsOlsUnderHeterogeneousNoise) {
     // Wildly heterogeneous phone quality.
     auto noise = sc::SensorNoise::heterogeneous(m, 0.001, 1.0, rng);
     auto meas = sc::measure(x, plan, noise, rng);
-    sc::ChsOptions ols_opts{.max_support = k, .refit = sc::Refit::kOls};
-    sc::ChsOptions gls_opts{.max_support = k, .refit = sc::Refit::kGls};
+    sc::ChsOptions ols_opts{.max_support = k, .refit_solver = "ols"};
+    sc::ChsOptions gls_opts{.max_support = k, .refit_solver = "gls"};
     ols_total += sl::nrmse(sc::chs_reconstruct(basis, meas, ols_opts)
                                .reconstruction, x);
     gls_total += sl::nrmse(sc::chs_reconstruct(basis, meas, gls_opts)
@@ -181,6 +181,24 @@ TEST(Chs, ValidatesDimensions) {
   auto plan = sc::MeasurementPlan::random(8, 4, rng);
   auto meas = sc::measure_exact(x, plan);
   EXPECT_THROW(sc::chs_reconstruct(basis, meas), std::invalid_argument);
+}
+
+TEST(Chs, GlsRefitRejectsMismatchedNoiseModel) {
+  // A "gls" refit weights by the noise model, so a model that does not
+  // cover every measurement is an error, not a silent unweighted solve.
+  const std::size_t n = 32, m = 12;
+  auto basis = sl::dct_basis(n);
+  sl::Rng rng(114);
+  sl::Vector x(n, 1.0);
+  auto plan = sc::MeasurementPlan::random(n, m, rng);
+  auto meas = sc::measure_exact(x, plan);
+  meas.noise = sc::SensorNoise::homogeneous(m - 1, 0.1);
+  sc::ChsOptions opts;
+  opts.refit_solver = "gls";
+  EXPECT_THROW(sc::chs_reconstruct(basis, meas, opts), std::invalid_argument);
+  // The unweighted refit ignores the model.
+  opts.refit_solver = "ols";
+  EXPECT_NO_THROW(sc::chs_reconstruct(basis, meas, opts));
 }
 
 TEST(Chs, InterpolationChoicesAllRecoverSmoothFields) {

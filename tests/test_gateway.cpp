@@ -13,6 +13,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <mutex>
@@ -124,6 +125,24 @@ class Client {
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     std::uint8_t b;
     return ::recv(fd_, &b, 1, 0) == 0;
+  }
+
+  /// Sends without asserting; false once the peer has gone.
+  bool try_send(const std::vector<std::uint8_t>& bytes) {
+    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+
+  /// True when the peer has gone within the timeout: EOF, or a reset
+  /// after a send raced the close.
+  bool gone(double timeout_s) {
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(timeout_s);
+    tv.tv_usec = static_cast<suseconds_t>((timeout_s - tv.tv_sec) * 1e6);
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    std::uint8_t b;
+    const ssize_t n = ::recv(fd_, &b, 1, 0);
+    return n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
   }
 
   void shutdown_write() { ::shutdown(fd_, SHUT_WR); }
@@ -348,7 +367,9 @@ TEST(GatewaySocket, TcpRoundTripAcksAndDelivers) {
 }
 
 TEST(GatewaySocket, UdsRoundTrip) {
-  const std::string path = ::testing::TempDir() + "gw_test.sock";
+  // Unique per process: the sanitizer twins run this test concurrently.
+  const std::string path = ::testing::TempDir() + "gw_test." +
+                           std::to_string(::getpid()) + ".sock";
   CollectSink sink;
   gw::GatewayConfig cfg;
   cfg.listen_tcp = false;
@@ -485,6 +506,33 @@ TEST(GatewaySocket, SlowlorisIdleDeadlineSweep) {
   client.send_bytes(tease);
   EXPECT_TRUE(client.eof(5.0));
   g.stop();
+  EXPECT_GE(g.stats().connections_dropped, 1u);
+}
+
+TEST(GatewaySocket, TrickledFrameDoesNotResetIdleDeadline) {
+  CollectSink sink;
+  gw::GatewayConfig cfg;
+  cfg.idle_timeout_s = 0.3;
+  gw::Gateway g(cfg, sink.fn());
+  ASSERT_TRUE(g.start());
+
+  // One byte of a valid frame every 0.1 s: the frame never completes
+  // within the test, so no ack is ever queued and the deadline set at
+  // accept must expire — received bytes alone do not hold the slot.
+  auto client = Client::tcp(g.tcp_port());
+  const auto framed = gw::encode_framed(record_message(1, 20.0));
+  ASSERT_GT(framed.size(), 10u);
+  const auto t0 = std::chrono::steady_clock::now();
+  bool closed = false;
+  for (std::size_t i = 0; i < framed.size() && !closed; ++i) {
+    if (std::chrono::steady_clock::now() - t0 > std::chrono::seconds(1)) {
+      break;
+    }
+    closed = !client.try_send({framed[i]}) || client.gone(0.1);
+  }
+  EXPECT_TRUE(closed) << "trickling peer held its slot past 1 s";
+  g.stop();
+  EXPECT_EQ(g.stats().frames, 0u);
   EXPECT_GE(g.stats().connections_dropped, 1u);
 }
 

@@ -132,7 +132,8 @@ TEST_F(TelemetryTest, FlightRecorderThreadsGetPrivateRings) {
 }
 
 TEST_F(TelemetryTest, FlightRecorderDumpToFileAppends) {
-  const std::string path = ::testing::TempDir() + "fr_dump_test.jsonl";
+  const std::string path = ::testing::TempDir() + "fr_dump_test." +
+                           std::to_string(::getpid()) + ".jsonl";
   std::remove(path.c_str());
   so::FlightRecorder::reset();
   so::FlightRecorder::arm();
@@ -232,7 +233,8 @@ TEST_F(TelemetryTest, HealthEngineEnergyFloor) {
 }
 
 TEST_F(TelemetryTest, HealthEngineAutoDumpsOnFaultGrowth) {
-  const std::string path = ::testing::TempDir() + "fr_auto_dump.jsonl";
+  const std::string path = ::testing::TempDir() + "fr_auto_dump." +
+                           std::to_string(::getpid()) + ".jsonl";
   std::remove(path.c_str());
   so::MetricsRegistry reg;
   so::HealthEngine engine(&reg);
@@ -461,6 +463,28 @@ TEST_F(TelemetryTest, ServesOverLoopbackSockets) {
   EXPECT_NE(http_get(server.port(), "/metrics").find("200"),
             std::string::npos);
   server.stop();
+}
+
+TEST_F(TelemetryTest, ServesMetricsBodyLargerThanPendingOutputCap) {
+  // The reactor's 1 MiB pending-output cap bounds replies a peer leaves
+  // unread while it keeps sending; a finished response is never capped.
+  // Two families just under the 10k-series limit, padded labels: the
+  // /metrics body is well over 1 MiB.
+  so::MetricsRegistry reg;
+  const std::string pad(48, 'p');
+  for (const char* family : {"big.a", "big.b"}) {
+    for (int i = 0; i < 9000; ++i) {
+      reg.counter(family, {{"id", std::to_string(i)}, {"pad", pad}}).add(1.0);
+    }
+  }
+  so::TelemetryServer server({&reg, nullptr, nullptr, "big"});
+  ASSERT_TRUE(server.start());
+  const std::string resp = http_get(server.port(), "/metrics");
+  server.stop();
+  EXPECT_GT(resp.size(), std::size_t{1} << 20);
+  EXPECT_NE(resp.find("HTTP/1.0 200 OK"), std::string::npos);
+  EXPECT_NE(resp.find("big_b{id=\"8999\""), std::string::npos);
+  EXPECT_EQ(server.requests_served(), 1u);
 }
 
 // Loopback connect without sending anything yet; -1 on failure.
