@@ -374,8 +374,9 @@ struct CampaignRun {
   sensedroid::middleware::GatherStats stats;
 };
 
+// The default refit is NanoCloudConfig's production one, GLS.
 CampaignRun run_parallel_campaign(std::size_t workers,
-                                  const std::string& refit_solver = "") {
+                                  const std::string& refit_solver = "gls") {
   sfl::FaultPlan plan;
   plan.seed = 77;
   plan.link.p_good_to_bad = 0.1;
