@@ -41,10 +41,8 @@ dense matrix vs fast-DCT operator) at least the operator floor (default
 this mode reads; the plain trajectory mode additionally gates every one
 of those keys against its previous point like any other series.
 
-A file with no trajectory points yet is a FIRST RUN, not an error: every
-guard passes (exit 0) so a brand-new bench file does not fail tier-1
-before its first honest point lands.  A missing or unparseable file is
-still exit 2 — the committed fixture being gone is a real breakage.
+A gate never passes on nothing: a missing, unparseable, empty or
+blank-only file is exit 2 in every mode.
 
 Usage: check_regression.py [--overhead|--recovery|--gateway|--batch]
                            [path-to-jsonl]
@@ -259,12 +257,8 @@ def main(argv):
         print(f"check_regression: cannot read {path}: {exc}")
         return 2
     if not series:
-        # First run: the file exists but carries no points yet.  Nothing
-        # can have regressed, so every mode passes (the file going
-        # MISSING is still exit 2 above).
-        print(f"check_regression: no trajectory points in {path} — "
-              "first run, ok")
-        return 0
+        print(f"check_regression: no trajectory points in {path}")
+        return 2
     if batch:
         min_batch = float(argv[2]) if len(argv) > 2 else 3.0
         min_operator = float(argv[3]) if len(argv) > 3 else 5.0

@@ -1,13 +1,15 @@
 // E20 — parallel campaign scaling: wall-clock speedup of the exec
 // runner at 1/2/4/8 workers on a 16-zone faulted LocalCloud campaign,
-// with a built-in determinism audit (every worker count must produce
-// the same deterministic RunReport view as the 1-worker baseline).
+// plus the inline engine (LocalCloud::gather, no pool), with a built-in
+// determinism audit (every row must produce the same deterministic
+// RunReport view as the 1-worker baseline).
 //
 // The numbers are only meaningful on a multi-core host; on a 1-core
 // builder every configuration degenerates to sequential throughput, so
 // the bench reports the honest curve and asserts nothing about it.
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,7 @@ fault::FaultPlan make_plan() {
   return plan;
 }
 
+/// `workers == 0` runs the inline engine, with no pool.
 RunOutcome run_campaign(const field::SpatialField& truth,
                         const field::ZoneGrid& grid, std::size_t workers) {
   fault::FaultPlan plan = make_plan();
@@ -62,13 +65,19 @@ RunOutcome run_campaign(const field::SpatialField& truth,
 
   linalg::Rng rng(7);
   hierarchy::LocalCloud cloud(truth, grid, cfg, rng);
-  exec::ThreadPool pool(workers);
-  exec::ParallelCampaignRunner runner(cloud, pool);
+  std::optional<exec::ThreadPool> pool;
+  std::optional<exec::ParallelCampaignRunner> runner;
+  if (workers > 0) {
+    pool.emplace(workers);
+    runner.emplace(cloud, *pool);
+  }
 
   RunOutcome out;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < kRounds; ++r) {
-    out.nrmse = runner.run_round_uniform(kPerZone, rng).nrmse;
+    out.nrmse = (runner ? runner->run_round_uniform(kPerZone, rng)
+                        : cloud.gather_uniform(kPerZone, rng))
+                    .nrmse;
   }
   const auto t1 = std::chrono::steady_clock::now();
   out.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -100,7 +109,8 @@ int main() {
   obs::MetricsRegistry summary;
   std::string baseline_json;
   double baseline_ms = 0.0;
-  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+  // The inline row (0 workers) runs last, against the 1-worker baseline.
+  for (const std::size_t workers : {1u, 2u, 4u, 8u, 0u}) {
     const RunOutcome out = run_campaign(truth, grid, workers);
     if (workers == 1) {
       baseline_ms = out.wall_ms;
@@ -108,10 +118,14 @@ int main() {
     }
     const double speedup = baseline_ms / out.wall_ms;
     const bool identical = out.deterministic_json == baseline_json;
-    std::printf("%8zu %10.1f %7.2fx %10.0f%% %8.4f  %s\n", workers,
-                out.wall_ms, speedup, 100.0 * speedup / workers, out.nrmse,
+    const std::string row = workers == 0 ? "inline" : std::to_string(workers);
+    const std::string efficiency =
+        workers == 0 ? "-" : std::to_string(static_cast<int>(
+                                 100.0 * speedup / workers + 0.5)) + "%";
+    std::printf("%8s %10.1f %7.2fx %11s %8.4f  %s\n", row.c_str(),
+                out.wall_ms, speedup, efficiency.c_str(), out.nrmse,
                 identical ? "identical" : "DIVERGED");
-    const obs::Labels labels = {{"workers", std::to_string(workers)}};
+    const obs::Labels labels = {{"workers", row}};
     summary.gauge("exec.scaling.wall_ms", labels).set(out.wall_ms);
     summary.gauge("exec.scaling.speedup", labels).set(speedup);
     summary.gauge("exec.scaling.deterministic", labels)
@@ -121,8 +135,9 @@ int main() {
   std::printf(
       "# reading: speedup tracks min(workers, cores); on a single-core\n"
       "# host the curve is flat at ~1x by construction.  'identical'\n"
-      "# means the worker count left the deterministic RunReport view\n"
-      "# byte-for-byte unchanged — the engine's core invariant.\n");
+      "# means the worker count (or running inline, with no pool) left\n"
+      "# the deterministic RunReport view byte-for-byte unchanged — the\n"
+      "# engine's core invariant.\n");
 
   const auto report =
       obs::RunReport::from_registry(summary, "exp_parallel_scaling");

@@ -2,10 +2,9 @@
 """Unit tests for check_regression.py — the tier-1 perf-trajectory guard.
 
 The guard's exit codes ARE its API (ctest reads nothing else), so every
-test pins main()'s return value for one input shape.  The first-run
-cases (empty file, single point) are regression tests: the guard used to
-exit 2 on an empty trajectory, which made every brand-new bench file
-fail tier-1 before its first honest point could land.
+test pins main()'s return value for one input shape.  A gate never
+passes on nothing: an empty or blank-only file is exit 2 in every mode,
+like a missing one.
 
 Run directly (python3 test_check_regression.py) or via ctest
 (check_regression_unit).
@@ -34,7 +33,7 @@ def run_main(content, *flags):
 
 
 class FirstRunTest(unittest.TestCase):
-    def test_empty_file_passes_every_mode(self):
+    def test_empty_file_fails_every_mode(self):
         for flags in (
             (),
             ("--overhead",),
@@ -42,10 +41,17 @@ class FirstRunTest(unittest.TestCase):
             ("--gateway",),
             ("--batch",),
         ):
-            self.assertEqual(run_main("", *flags), 0, flags)
+            self.assertEqual(run_main("", *flags), 2, flags)
 
-    def test_blank_lines_only_is_still_first_run(self):
-        self.assertEqual(run_main("\n\n  \n"), 0)
+    def test_blank_lines_only_fails_every_mode(self):
+        for flags in (
+            (),
+            ("--overhead",),
+            ("--recovery",),
+            ("--gateway",),
+            ("--batch",),
+        ):
+            self.assertEqual(run_main("\n\n  \n", *flags), 2, flags)
 
     def test_single_point_has_nothing_to_compare(self):
         self.assertEqual(

@@ -65,9 +65,9 @@ struct SolveContext {
   /// 1e-8 * ||A||_F^2.
   double ridge_lambda = 0.0;
   /// Metrics destination for this solve.  When non-null the solve runs
-  /// under a ScopedMetricShard bound to it, so per-task shards capture
-  /// solver counters without touching the process registry; nullptr
-  /// inherits the caller's sink (thread shard or attached registry).
+  /// under a ScopedMetricShard bound to it, so solver counters land
+  /// there without touching the process registry; nullptr inherits the
+  /// caller's sink (journal, thread shard or attached registry).
   obs::MetricsRegistry* metrics = nullptr;
   /// Cooperative cancellation; nullptr = not cancellable.
   const CancelToken* cancel = nullptr;

@@ -1,218 +1,33 @@
 #include "exec/campaign_runner.h"
 
 #include <algorithm>
-#include <chrono>
-#include <future>
-#include <memory>
 #include <optional>
-#include <stdexcept>
-#include <string>
-#include <utility>
 
-#include "field/spatial_field.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace sensedroid::exec {
 
 namespace {
 
-// Shards are only worth paying for when there is a process registry to
-// merge them into; detached runs skip the isolation machinery entirely.
-bool observed() { return obs::registry() != nullptr; }
+hierarchy::FanOut pool_fan_out(ThreadPool& pool) {
+  return [&pool](std::size_t n,
+                 const std::function<void(std::size_t)>& task) {
+    fan_out(pool, n, task);
+  };
+}
 
 }  // namespace
 
 hierarchy::RegionalResult ParallelCampaignRunner::run_round(
     const std::vector<hierarchy::ZoneDecision>& decisions,
     linalg::Rng& rng) {
-  hierarchy::LocalCloud& cloud = *cloud_;
-  const std::size_t z = cloud.zone_count();
-  if (decisions.size() != z) {
-    throw std::invalid_argument("run_round: decision count mismatch");
-  }
-  std::vector<std::size_t> budget(z, 0);
-  std::vector<bool> seen(z, false);
-  for (const auto& d : decisions) {
-    if (d.zone_id >= z || seen[d.zone_id]) {
-      throw std::invalid_argument("run_round: bad zone ids");
-    }
-    seen[d.zone_id] = true;
-    budget[d.zone_id] = std::max<std::size_t>(d.measurements, 1);
-  }
-
-  obs::ScopedSpan span("exec.runner.round");
-
-  // One regional round = one fault round, advanced on the driver thread
-  // before any zone task exists (begin_round must not race in-round
-  // queries — fault.h's one threading caveat).
-  if (z > 0 && cloud.nanocloud(0).config().injector != nullptr) {
-    cloud.nanocloud(0).config().injector->begin_round();
-  }
-
-  // Admission plan on the driver thread, before fan-out, exactly as in
-  // the sequential path — the plan (and thus which zones run) never
-  // depends on worker count or task scheduling.
-  std::vector<fault::ZoneAdmission> plan;
-  if (cloud.guard() != nullptr && cloud.guard()->enabled()) {
-    plan = cloud.guard()->plan_round();
-  }
-  const auto admitted = [&plan](std::size_t id) {
-    return plan.empty() || plan[id] == fault::ZoneAdmission::kRun ||
-           plan[id] == fault::ZoneAdmission::kProbe;
-  };
-
-  // Rule 1 (seeding): fork per-zone streams sequentially in zone order.
-  // The campaign Rng advances by exactly Z draws per round no matter how
-  // the zones are later scheduled — including when a zone is shed (its
-  // fork is simply never drawn from), so admission decisions cannot
-  // shift any other zone's stream.
-  std::vector<linalg::Rng> forks;
-  forks.reserve(z);
-  for (std::size_t id = 0; id < z; ++id) forks.push_back(rng.fork());
-
-  struct ZoneOutcome {
-    hierarchy::GatherResult result;
-    std::unique_ptr<obs::MetricsRegistry> shard;
-    std::unique_ptr<obs::TraceLog> trace_shard;
-  };
-  const bool shard_metrics = observed();
-  const bool shard_traces = obs::trace() != nullptr;
-  // The round span's id: shard merging re-parents each zone's spans
-  // under it, so the merged tree nests zone work inside the round at any
-  // worker count.
-  const std::uint64_t round_span = obs::TraceContext::current().parent;
-
-  // Refused zones get no task at all (index keeps the zone alignment):
-  // a shed zone must consume no worker, no Rng draws, and no shard.
-  std::vector<std::optional<std::future<ZoneOutcome>>> futures(z);
-  for (std::size_t id = 0; id < z; ++id) {
-    if (!admitted(id)) continue;
-    futures[id] = pool_->submit([this, id, shard_metrics, shard_traces,
-                                 &forks, m = budget[id]] {
-      ZoneOutcome out;
-      // Rule 2 (isolation): this zone's counters/histograms/spans land
-      // in private shards; nothing floating-point is shared mid-round.
-      std::optional<obs::ScopedMetricShard> bind;
-      if (shard_metrics) {
-        out.shard = std::make_unique<obs::MetricsRegistry>();
-        bind.emplace(out.shard.get());
-      }
-      std::optional<obs::ScopedTraceShard> bind_trace;
-      if (shard_traces) {
-        // Binding the shard also isolates this thread's trace context,
-        // so the submitter's main-log span ids cannot leak in as
-        // parents: shard roots stay unparented and merge_from
-        // re-parents them under the round span.
-        out.trace_shard = std::make_unique<obs::TraceLog>();
-        bind_trace.emplace(out.trace_shard.get());
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      out.result = cloud_->nanocloud(id).gather(m, forks[id]);
-      if (shard_metrics) {
-        const auto dt = std::chrono::steady_clock::now() - t0;
-        obs::observe("hier.zone.gather_us",
-                     {{"zone", std::to_string(id)}},
-                     std::chrono::duration<double, std::micro>(dt).count());
-      }
-      return out;
-    });
-  }
-
-  // Barrier BEFORE any get(): every task references `forks` and `budget`
-  // on this stack frame, so nothing may be propagated (and this frame
-  // unwound) until all of them have finished.
-  for (auto& f : futures) {
-    if (f) f->wait();
-  }
-
-  std::vector<ZoneOutcome> outcomes(z);
-  for (std::size_t id = 0; id < z; ++id) {
-    if (futures[id]) {
-      outcomes[id] = futures[id]->get();  // rethrows, id order
-    } else {
-      // Materialized on the driver thread: shed_result draws no Rng and
-      // emits no metrics, so it is safe (and deterministic) here.
-      outcomes[id].result =
-          cloud.nanocloud(id).shed_result(budget[id]);
-    }
-  }
-
-  // Rule 3 (reduction): merge shards, then fold results, both in
-  // ascending zone order — fixed floating-point addition order (and, for
-  // traces, fixed id/parent/depth assignment).
-  if (obs::MetricsRegistry* base = obs::registry()) {
-    for (const ZoneOutcome& o : outcomes) {
-      if (o.shard) base->merge_from(*o.shard);
-    }
-  }
-  if (obs::TraceLog* log = obs::trace()) {
-    for (const ZoneOutcome& o : outcomes) {
-      if (o.trace_shard) log->merge_from(*o.trace_shard, round_span);
-    }
-  }
-
-  hierarchy::RegionalResult out;
-  out.reconstruction = field::SpatialField(cloud.grid().field_width(),
-                                           cloud.grid().field_height());
-  out.zone_nrmse.resize(z, 0.0);
-  const sim::LinkModel& uplink = cloud.uplink_link();
-  for (std::size_t id = 0; id < z; ++id) {
-    const hierarchy::GatherResult& res = outcomes[id].result;
-    if (!plan.empty()) {
-      if (admitted(id)) {
-        cloud.guard()->record(id, res.m_used == 0 || res.failed_over,
-                              res.virtual_s);
-      } else {
-        hierarchy::emit_shed(static_cast<std::uint32_t>(id), plan[id]);
-      }
-    }
-    hierarchy::emit_zone_series(static_cast<std::uint32_t>(id), res);
-    out.total_measurements += res.m_used;
-    out.node_energy_j += res.node_energy_j;
-    out.stats += res.stats;
-    out.zone_nrmse[id] = res.nrmse;
-    if (res.failed_over) ++out.failovers;
-    if (res.degraded) ++out.degraded_zones;
-    if (res.shed) ++out.shed_zones;
-    out.outliers_rejected += res.outliers_rejected;
-    out.virtual_s += res.virtual_s;
-    cloud.grid().insert(out.reconstruction, id, res.reconstruction);
-
-    // Uplink: the NC broker ships its support coefficients to the head
-    // (32 B header + 16 B per coefficient, as in LocalCloud::gather).
-    const std::size_t bytes = 32 + 16 * res.support_size;
-    out.uplink_bytes += bytes;
-    out.uplink_energy_j += uplink.tx_energy_j(bytes) +
-                           uplink.rx_energy_j(bytes);
-  }
-  out.nrmse = field::field_nrmse(out.reconstruction, cloud.truth());
-  if (obs::attached()) {
-    // Same rollup series as the sequential driver, so RunReports from
-    // either path read identically, plus the runner's own accounting.
-    obs::add_counter("hier.localcloud.rounds");
-    obs::add_counter("hier.localcloud.zones_gathered",
-                     static_cast<double>(z));
-    obs::add_counter("hier.localcloud.uplink_bytes",
-                     static_cast<double>(out.uplink_bytes));
-    obs::observe("hier.localcloud.nrmse", out.nrmse);
-    obs::add_counter("exec.runner.rounds");
-    obs::add_counter("exec.runner.zone_tasks", static_cast<double>(z));
-    // Deliberately NO worker-count gauge: worker count is environment,
-    // not campaign data, and emitting it would break the byte-identical
-    // invariant the runner exists to provide.
-  }
-  return out;
+  return cloud_->gather(decisions, rng, pool_fan_out(*pool_));
 }
 
 hierarchy::RegionalResult ParallelCampaignRunner::run_round_uniform(
     std::size_t measurements_per_zone, linalg::Rng& rng) {
-  std::vector<hierarchy::ZoneDecision> decisions(cloud_->zone_count());
-  for (std::size_t id = 0; id < decisions.size(); ++id) {
-    decisions[id].zone_id = id;
-    decisions[id].measurements = measurements_per_zone;
-  }
-  return run_round(decisions, rng);
+  return cloud_->gather_uniform(measurements_per_zone, rng,
+                                pool_fan_out(*pool_));
 }
 
 std::vector<cs::ChsResult> chs_reconstruct_batch(
@@ -220,44 +35,15 @@ std::vector<cs::ChsResult> chs_reconstruct_batch(
     std::span<const cs::Measurement> signals, const cs::ChsOptions& opts,
     std::size_t batch_size) {
   if (batch_size == 0) batch_size = 1;
-  struct BatchOutcome {
-    std::vector<cs::ChsResult> results;
-    std::unique_ptr<obs::MetricsRegistry> shard;
-  };
-  const bool shard_metrics = observed();
-
-  std::vector<std::future<BatchOutcome>> futures;
-  futures.reserve((signals.size() + batch_size - 1) / batch_size);
-  for (std::size_t start = 0; start < signals.size(); start += batch_size) {
-    const std::size_t count = std::min(batch_size, signals.size() - start);
-    futures.push_back(pool.submit([&basis, &signals, &opts, shard_metrics,
-                                   start, count] {
-      BatchOutcome out;
-      std::optional<obs::ScopedMetricShard> bind;
-      if (shard_metrics) {
-        out.shard = std::make_unique<obs::MetricsRegistry>();
-        bind.emplace(out.shard.get());
-      }
-      out.results.reserve(count);
-      // Signals solve in index order within the task, so the shard's
-      // accumulation order — and therefore the merged metrics view — is
-      // the same as one-task-per-signal was.
-      for (std::size_t i = start; i < start + count; ++i) {
-        out.results.push_back(cs::chs_reconstruct(basis, signals[i], opts));
-      }
-      return out;
-    }));
-  }
-  for (auto& f : futures) f.wait();  // barrier before any rethrow
-
-  std::vector<cs::ChsResult> results;
-  results.reserve(signals.size());
-  obs::MetricsRegistry* base = obs::registry();
-  for (auto& f : futures) {
-    BatchOutcome out = f.get();  // rethrows in batch (= signal) order
-    if (base != nullptr && out.shard) base->merge_from(*out.shard);
-    for (auto& r : out.results) results.push_back(std::move(r));
-  }
+  std::vector<cs::ChsResult> results(signals.size());
+  fan_out(pool, (signals.size() + batch_size - 1) / batch_size,
+          [&](std::size_t t) {
+            const std::size_t end =
+                std::min(signals.size(), (t + 1) * batch_size);
+            for (std::size_t i = t * batch_size; i < end; ++i) {
+              results[i] = cs::chs_reconstruct(basis, signals[i], opts);
+            }
+          });
   return results;
 }
 
@@ -266,46 +52,23 @@ std::vector<cs::SparseSolution> solve_batch_parallel(
     const linalg::Matrix& a, std::span<const linalg::Vector> ys,
     const cs::SolveContext& ctx, std::size_t batch_size) {
   if (batch_size == 0) batch_size = 1;
-  struct ChunkOutcome {
-    std::vector<cs::SparseSolution> results;
-    std::unique_ptr<obs::MetricsRegistry> shard;
-  };
-  // The merge destination: an explicit context sink wins, else the
-  // attached process registry, else no metrics at all.
-  obs::MetricsRegistry* sink =
-      ctx.metrics != nullptr ? ctx.metrics : obs::registry();
-  const bool shard_metrics = sink != nullptr;
-  // Tasks must not bind the shared sink themselves (concurrent chunks
-  // would race on it); each binds a private shard instead and the shards
-  // merge into the sink in chunk order below.
+  // An explicit context sink becomes the calling thread's sink for the
+  // fan-out, so the chunks' journals replay into it; the tasks
+  // themselves journal instead of binding it.
+  std::optional<obs::ScopedMetricShard> bind;
+  if (ctx.metrics != nullptr) bind.emplace(ctx.metrics);
   cs::SolveContext task_ctx = ctx;
   task_ctx.metrics = nullptr;
 
-  std::vector<std::future<ChunkOutcome>> futures;
-  futures.reserve((ys.size() + batch_size - 1) / batch_size);
-  for (std::size_t start = 0; start < ys.size(); start += batch_size) {
-    const std::size_t count = std::min(batch_size, ys.size() - start);
-    futures.push_back(pool.submit([&a, ys, &task_ctx, &solver, shard_metrics,
-                                   start, count] {
-      ChunkOutcome out;
-      std::optional<obs::ScopedMetricShard> bind;
-      if (shard_metrics) {
-        out.shard = std::make_unique<obs::MetricsRegistry>();
-        bind.emplace(out.shard.get());
-      }
-      out.results = solver.solve_batch(a, ys.subspan(start, count), task_ctx);
-      return out;
-    }));
-  }
-  for (auto& f : futures) f.wait();  // barrier before any rethrow
-
-  std::vector<cs::SparseSolution> results;
-  results.reserve(ys.size());
-  for (auto& f : futures) {
-    ChunkOutcome out = f.get();  // rethrows in chunk order
-    if (shard_metrics && out.shard) sink->merge_from(*out.shard);
-    for (auto& s : out.results) results.push_back(std::move(s));
-  }
+  std::vector<cs::SparseSolution> results(ys.size());
+  fan_out(pool, (ys.size() + batch_size - 1) / batch_size,
+          [&](std::size_t t) {
+            const std::size_t start = t * batch_size;
+            const std::size_t count = std::min(batch_size, ys.size() - start);
+            auto chunk =
+                solver.solve_batch(a, ys.subspan(start, count), task_ctx);
+            std::move(chunk.begin(), chunk.end(), results.begin() + start);
+          });
   return results;
 }
 

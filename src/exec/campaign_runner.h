@@ -1,27 +1,29 @@
 // Deterministic parallel campaign execution (DESIGN.md §9).
 //
 // A LocalCloud round is embarrassingly parallel — each zone's gather is
-// an independent NanoCloud simulation — but the sequential driver
-// threads ONE Rng through the zones and lets every zone hammer the same
-// global metrics registry, so naively fanning it out changes results
-// with worker count.  The runner restores determinism with three rules:
+// an independent NanoCloud simulation.  The runner adds nothing to the
+// round itself: LocalCloud::gather is the one round engine, and the
+// runner hands it exec::fan_out over a pool.  Determinism rests on
+// three rules:
 //
-//   1. Seeding: per-zone Rng streams are forked from the campaign Rng
-//      sequentially, in zone order, BEFORE fan-out.  Zone z's stream is
-//      a pure function of (campaign rng state, z) — never of scheduling.
-//   2. Isolation: each zone task binds a private MetricsRegistry shard
-//      (obs::ScopedMetricShard), so no floating-point accumulator is
-//      shared across concurrently running zones.  The fault injector's
-//      streams are already keyed per zone / per node (fault.h).
-//   3. Reduction: after ALL tasks complete, shards are merged into the
-//      process registry and results are folded into the RegionalResult
-//      in ascending zone order — the same floating-point addition order
-//      every time.
+//   1. Seeding: the engine forks one Rng per zone from the campaign Rng,
+//      in zone order, before any zone runs.  Zone z's stream is a pure
+//      function of (campaign rng state, z) — never of scheduling.
+//   2. Journals: each zone task records its metric-helper calls in its
+//      own obs::MetricJournal and its spans in its own trace shard, so
+//      nothing floating-point is shared across concurrent zones.  The
+//      fault injector's streams are already keyed per zone / per node
+//      (fault.h).
+//   3. Replay: after ALL tasks complete, journals are replayed and trace
+//      shards merged in ascending zone order, then the engine folds
+//      results in zone order — the same writes, in the same order, as
+//      the inline engine makes directly.
 //
 // Headline invariant (enforced by tests/test_exec.cpp): a campaign run
-// with 1 worker and with N workers from the same seed produces
-// byte-identical deterministic RunReports
-// (RunReport::from_registry(reg, name, /*include_wall_clock=*/false)).
+// inline (LocalCloud::gather with no pool), with 1 worker, and with N
+// workers from the same seed produces byte-identical deterministic
+// RunReports (RunReport::from_registry(reg, name,
+// /*include_wall_clock=*/false)).
 #pragma once
 
 #include <cstddef>
@@ -36,26 +38,21 @@
 namespace sensedroid::exec {
 
 /// Drives one LocalCloud's rounds through a ThreadPool, one task per
-/// zone.  Non-owning: the cloud and pool must outlive the runner.  The
-/// runner is the only writer to the cloud while a round is in flight —
-/// zones never touch each other's NanoCloud state, which is what makes
-/// the per-zone fan-out sound.
+/// admitted zone.  Non-owning: the cloud and pool must outlive the
+/// runner.  The runner is the only writer to the cloud while a round is
+/// in flight — zones never touch each other's NanoCloud state, which is
+/// what makes the per-zone fan-out sound.
 class ParallelCampaignRunner {
  public:
   ParallelCampaignRunner(hierarchy::LocalCloud& cloud, ThreadPool& pool)
       : cloud_(&cloud), pool_(&pool) {}
 
-  /// Parallel equivalent of LocalCloud::gather: advances the fault
-  /// round, forks per-zone Rng streams in zone order, fans the zone
-  /// gathers across the pool, and reduces in zone order.  `decisions`
-  /// must cover zone ids 0..Z-1 exactly (throws std::invalid_argument).
-  ///
-  /// NOTE the streams differ from LocalCloud::gather's (which threads
-  /// one Rng sequentially through the zones), so runner results are not
-  /// comparable sample-for-sample with the sequential driver — only
-  /// with other runner runs, where they are worker-count-invariant.
-  /// A zone task that throws is rethrown here after every other zone of
-  /// the round has finished (first zone in index order wins).
+  /// LocalCloud::gather with the zone gathers fanned across the pool.
+  /// Results and metrics equal the inline engine's at any worker count.
+  /// `decisions` must cover zone ids 0..Z-1 exactly (throws
+  /// std::invalid_argument).  A zone task that throws is rethrown here
+  /// after every other zone of the round has finished (first zone in
+  /// index order wins).
   hierarchy::RegionalResult run_round(
       const std::vector<hierarchy::ZoneDecision>& decisions,
       linalg::Rng& rng);
@@ -75,13 +72,13 @@ class ParallelCampaignRunner {
 /// Fans independent CHS reconstructions (shared basis and options)
 /// across the pool.  Signals are grouped into contiguous task batches of
 /// `batch_size` (a scheduling knob only: each signal still solves
-/// sequentially inside its task, amortizing the submit/shard overhead
-/// that dominated at one-task-per-signal); results and metric shards are
-/// reduced in batch order, which visits signals in index order, so the
-/// output — and the deterministic metrics view — is identical at any
-/// worker count AND any batch size.  Signal i's solve must not depend on
-/// signal j's (chs_reconstruct is stateless, so it doesn't).  A solve
-/// that throws is rethrown after every task completes.
+/// sequentially inside its task, amortizing the per-task overhead that
+/// dominated at one-task-per-signal).  fan_out replays the batches'
+/// metric journals in batch order, which visits signals in index order,
+/// so the output and the metrics equal a sequential chs_reconstruct loop
+/// at any worker count AND any batch size.  Signal i's solve must not
+/// depend on signal j's (chs_reconstruct is stateless, so it doesn't).
+/// A solve that throws is rethrown after every task completes.
 std::vector<cs::ChsResult> chs_reconstruct_batch(
     ThreadPool& pool, const linalg::Matrix& basis,
     std::span<const cs::Measurement> signals, const cs::ChsOptions& opts,
@@ -91,12 +88,12 @@ std::vector<cs::ChsResult> chs_reconstruct_batch(
 /// contiguous chunks of `batch_size`, each chunk runs one
 /// SparseSolver::solve_batch task against the shared dictionary (so the
 /// greedy solvers' correlation sweeps become per-chunk GEMMs), and
-/// results plus per-task metric shards reduce in chunk order — the same
-/// totals at any worker count.  ctx.metrics, when set, receives the
-/// merged shards (tasks never bind it directly — sharing one registry
-/// across concurrent chunks would race); otherwise they merge into the
-/// attached process registry.  A chunk that throws is rethrown after
-/// every task completes.
+/// results plus metric journals reduce in chunk order — the same
+/// results and metrics as a sequential loop of solve_batch over the
+/// chunks.  ctx.metrics, when set, receives the replayed journals
+/// (tasks never bind it directly — sharing one registry across
+/// concurrent chunks would race); otherwise the calling thread's sink
+/// does.  A chunk that throws is rethrown after every task completes.
 std::vector<cs::SparseSolution> solve_batch_parallel(
     ThreadPool& pool, const cs::SparseSolver& solver,
     const linalg::Matrix& a, std::span<const linalg::Vector> ys,

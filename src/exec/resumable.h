@@ -2,11 +2,13 @@
 // that checkpoints itself every N rounds and can be killed and resumed
 // from the latest snapshot with a byte-identical continuation.
 //
-// One class drives BOTH execution paths — sequential LocalCloud::gather
-// when constructed without a pool, ParallelCampaignRunner fan-out when
-// given one — so the kill-and-resume invariant composes with the
-// 1-vs-8-worker invariant: resume at any worker count reproduces the
-// uninterrupted run's deterministic RunReport byte for byte.
+// Every round runs through the one round engine, LocalCloud::gather:
+// inline when constructed without a pool, fanned across the pool (via
+// ParallelCampaignRunner) when given one.  Inline, 1 and N workers give
+// the same results, so the kill-and-resume invariant composes with the
+// worker-count invariant: a campaign killed at any worker count (inline
+// included) and resumed at any other reproduces the uninterrupted run's
+// deterministic RunReport byte for byte.
 //
 // It also owns the degradation ladder: a fault::ZoneGuard (circuit
 // breakers + budget shedding) is attached to the cloud for the
@@ -51,9 +53,9 @@ class ResumableCampaign {
     fault::GuardOptions guard{};            ///< breaker/shed knobs
   };
 
-  /// `pool == nullptr` runs rounds through LocalCloud::gather on the
-  /// calling thread; otherwise through a ParallelCampaignRunner on the
-  /// pool.  Throws std::invalid_argument on zero rounds/budget or a
+  /// `pool == nullptr` runs each round's zones inline on the calling
+  /// thread; otherwise across the pool.  Both give the same results.
+  /// Throws std::invalid_argument on zero rounds/budget or a
   /// non-positive period (GuardOptions::validate covers the rest).
   ResumableCampaign(hierarchy::LocalCloud& cloud, ThreadPool* pool,
                     const Config& config);

@@ -1,7 +1,10 @@
 #include "exec/thread_pool.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
+
+#include "obs/metrics.h"
 
 namespace sensedroid::exec {
 
@@ -65,6 +68,48 @@ void ThreadPool::worker_loop() {
       std::lock_guard<std::mutex> lock(mu_);
       --in_flight_;
     }
+  }
+}
+
+void fan_out(ThreadPool& pool, std::size_t n,
+             const std::function<void(std::size_t)>& task) {
+  struct Slot {
+    obs::MetricJournal journal;
+    obs::TraceLog trace;
+  };
+  const bool journaled = obs::attached();
+  obs::TraceLog* log = obs::trace_sink();
+  const std::uint64_t parent = obs::TraceContext::current().parent;
+  std::vector<Slot> slots(n);
+  std::vector<std::future<void>> futures;
+  futures.reserve(n);
+  // Every task references this frame, so it is not left (not even by a
+  // submit that throws after shutdown) until all submitted tasks ended.
+  const auto barrier = [&futures] {
+    for (auto& f : futures) f.wait();
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    try {
+      futures.push_back(pool.submit([&task, &slots, journaled,
+                                     traced = log != nullptr, i] {
+        std::optional<obs::ScopedMetricJournal> bind;
+        if (journaled) bind.emplace(&slots[i].journal);
+        // Binding the shard also isolates the worker's trace context, so
+        // the shard's roots stay unparented until merge_from below.
+        std::optional<obs::ScopedTraceShard> bind_trace;
+        if (traced) bind_trace.emplace(&slots[i].trace);
+        task(i);
+      }));
+    } catch (...) {
+      barrier();
+      throw;
+    }
+  }
+  barrier();
+  for (std::size_t i = 0; i < n; ++i) {
+    futures[i].get();  // rethrows, lowest index first
+    slots[i].journal.replay();
+    if (log != nullptr) log->merge_from(slots[i].trace, parent);
   }
 }
 

@@ -3,9 +3,9 @@
 // library.  This is the execution substrate of DESIGN.md §9 — zone
 // gathers and per-signal CHS solves are CPU-bound and independent, so a
 // campaign's wall clock should scale with cores while every *logical*
-// outcome stays identical to the 1-worker run (the determinism burden is
-// carried by the campaign runner's seeding and reduction, not the pool;
-// the pool promises only execution, not order).
+// outcome stays identical to the 1-worker run.  The pool promises only
+// execution, not order; fan_out() below is the one way work is spread
+// over it, and it carries the determinism burden for metrics and spans.
 #pragma once
 
 #include <condition_variable>
@@ -28,7 +28,7 @@ namespace sensedroid::exec {
 /// (or shutdown()) finishes every already-queued task, then joins.
 /// submit() is thread-safe and may be called from worker threads (tasks
 /// may spawn subtasks), but a task must never block on a future of a
-/// task queued *behind* it on a 1-worker pool — the runner's fan-out /
+/// task queued *behind* it on a 1-worker pool — fan_out()'s fan-out /
 /// join structure never does.
 class ThreadPool {
  public:
@@ -84,5 +84,18 @@ class ThreadPool {
   std::size_t in_flight_ = 0;  // popped but not yet finished
   bool stopping_ = false;
 };
+
+/// Runs task(0..n-1) across the pool and returns once every task has
+/// finished.  Each task's metric-helper calls go to its own
+/// obs::MetricJournal (bound only when the calling thread is attached)
+/// and its spans to its own trace shard (only when tracing is on).  In
+/// index order, each journal is then replayed and each shard merged
+/// into the calling thread's sinks, the spans re-parented under the span
+/// open at the call.  The caller's metrics and trace thus read as if
+/// task(0..n-1) had run inline, in order, at any worker count.  The
+/// lowest-index task exception is rethrown once every task has
+/// finished; the tasks below it have been replayed by then.
+void fan_out(ThreadPool& pool, std::size_t n,
+             const std::function<void(std::size_t)>& task);
 
 }  // namespace sensedroid::exec

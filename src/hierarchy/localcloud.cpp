@@ -33,59 +33,78 @@ LocalCloud::LocalCloud(const field::SpatialField& truth,
 }
 
 RegionalResult LocalCloud::gather(const std::vector<ZoneDecision>& decisions,
-                                  Rng& rng) {
-  if (decisions.size() != clouds_.size()) {
+                                  Rng& rng, const FanOut& fan_out) {
+  const std::size_t z = clouds_.size();
+  if (decisions.size() != z) {
     throw std::invalid_argument("LocalCloud::gather: decision count mismatch");
   }
-  std::vector<std::size_t> budget(clouds_.size(), 0);
-  std::vector<bool> seen(clouds_.size(), false);
+  std::vector<std::size_t> budget(z, 0);
+  std::vector<bool> seen(z, false);
   for (const auto& d : decisions) {
-    if (d.zone_id >= clouds_.size() || seen[d.zone_id]) {
+    if (d.zone_id >= z || seen[d.zone_id]) {
       throw std::invalid_argument("LocalCloud::gather: bad zone ids");
     }
     seen[d.zone_id] = true;
-    budget[d.zone_id] = d.measurements;
+    budget[d.zone_id] = std::max<std::size_t>(d.measurements, 1);
   }
 
   obs::ScopedSpan span("hier.localcloud.gather");
-  RegionalResult out;
-  out.reconstruction =
-      field::SpatialField(grid_.field_width(), grid_.field_height());
-  out.zone_nrmse.resize(clouds_.size(), 0.0);
 
   // One regional round = one fault round: churn and crash windows evolve
-  // here, not per zone, so every zone sees the same fault epoch.
-  if (!clouds_.empty() && clouds_.front().config().injector != nullptr) {
+  // here, not per zone, so every zone sees the same fault epoch.  It runs
+  // before any zone task exists (begin_round must not race in-round
+  // queries — fault.h's one threading caveat).
+  if (z > 0 && clouds_.front().config().injector != nullptr) {
     clouds_.front().config().injector->begin_round();
   }
 
-  // Admission plan before any zone runs (driver thread, zone order).
-  // With no guard (or a disabled one) the plan is empty and the loop is
-  // bit-identical to the pre-guard build.
+  // Admission plan before any zone runs.  With no guard (or a disabled
+  // one) the plan is empty and every zone runs.
   std::vector<fault::ZoneAdmission> plan;
   if (guard_ != nullptr && guard_->enabled()) plan = guard_->plan_round();
+  const auto admitted = [&plan](std::size_t id) {
+    return plan.empty() || plan[id] == fault::ZoneAdmission::kRun ||
+           plan[id] == fault::ZoneAdmission::kProbe;
+  };
 
-  for (std::size_t id = 0; id < clouds_.size(); ++id) {
-    const bool admitted =
-        plan.empty() || plan[id] == fault::ZoneAdmission::kRun ||
-        plan[id] == fault::ZoneAdmission::kProbe;
-    GatherResult res;
-    if (admitted) {
-      const auto t0 = std::chrono::steady_clock::now();
-      res = clouds_[id].gather(std::max<std::size_t>(budget[id], 1), rng);
-      if (obs::attached()) {
-        const auto dt = std::chrono::steady_clock::now() - t0;
-        obs::observe("hier.zone.gather_us",
-                     {{"zone", std::to_string(id)}},
-                     std::chrono::duration<double, std::micro>(dt).count());
-      }
-      if (!plan.empty()) {
-        guard_->record(id, res.m_used == 0 || res.failed_over,
-                       res.virtual_s);
-      }
-    } else {
-      res = clouds_[id].shed_result(std::max<std::size_t>(budget[id], 1));
+  // Seeding: each zone's stream is a pure function of (rng state, zone
+  // id), never of scheduling.  A shed zone's fork is never drawn from.
+  std::vector<Rng> forks;
+  forks.reserve(z);
+  for (std::size_t id = 0; id < z; ++id) forks.push_back(rng.fork());
+
+  std::vector<std::size_t> runs;
+  for (std::size_t id = 0; id < z; ++id) {
+    if (admitted(id)) runs.push_back(id);
+  }
+  std::vector<GatherResult> results(z);
+  const auto task = [&](std::size_t i) {
+    const std::size_t id = runs[i];
+    const auto t0 = std::chrono::steady_clock::now();
+    results[id] = clouds_[id].gather(budget[id], forks[id]);
+    if (obs::attached()) {
+      const auto dt = std::chrono::steady_clock::now() - t0;
+      obs::observe("hier.zone.gather_us", {{"zone", std::to_string(id)}},
+                   std::chrono::duration<double, std::micro>(dt).count());
+    }
+  };
+  if (fan_out) {
+    fan_out(runs.size(), task);
+  } else {
+    for (std::size_t i = 0; i < runs.size(); ++i) task(i);
+  }
+
+  RegionalResult out;
+  out.reconstruction =
+      field::SpatialField(grid_.field_width(), grid_.field_height());
+  out.zone_nrmse.resize(z, 0.0);
+  for (std::size_t id = 0; id < z; ++id) {
+    GatherResult& res = results[id];
+    if (!admitted(id)) {
+      res = clouds_[id].shed_result(budget[id]);
       emit_shed(static_cast<std::uint32_t>(id), plan[id]);
+    } else if (!plan.empty()) {
+      guard_->record(id, res.m_used == 0 || res.failed_over, res.virtual_s);
     }
     emit_zone_series(static_cast<std::uint32_t>(id), res);
     out.total_measurements += res.m_used;
@@ -108,8 +127,7 @@ RegionalResult LocalCloud::gather(const std::vector<ZoneDecision>& decisions,
   out.nrmse = field::field_nrmse(out.reconstruction, *truth_);
   if (obs::attached()) {
     obs::add_counter("hier.localcloud.rounds");
-    obs::add_counter("hier.localcloud.zones_gathered",
-                     static_cast<double>(clouds_.size()));
+    obs::add_counter("hier.localcloud.zones_gathered", static_cast<double>(z));
     obs::add_counter("hier.localcloud.uplink_bytes",
                      static_cast<double>(out.uplink_bytes));
     obs::observe("hier.localcloud.nrmse", out.nrmse);
@@ -118,13 +136,13 @@ RegionalResult LocalCloud::gather(const std::vector<ZoneDecision>& decisions,
 }
 
 RegionalResult LocalCloud::gather_uniform(std::size_t measurements_per_zone,
-                                          Rng& rng) {
+                                          Rng& rng, const FanOut& fan_out) {
   std::vector<ZoneDecision> decisions(clouds_.size());
   for (std::size_t id = 0; id < clouds_.size(); ++id) {
     decisions[id].zone_id = id;
     decisions[id].measurements = measurements_per_zone;
   }
-  return gather(decisions, rng);
+  return gather(decisions, rng, fan_out);
 }
 
 void emit_zone_series(std::uint32_t zone, const GatherResult& res) noexcept {

@@ -3,9 +3,14 @@
 // broker ... and concatenate the results of the NCs for the local
 // region."  The head receives each NC's reconstruction summary (support
 // coefficients, not raw samples) and stitches the regional field.
+//
+// LocalCloud::gather is the one round engine (DESIGN.md §9.2).  Inline,
+// 1-worker and N-worker drivers differ only in the FanOut they hand it,
+// which decides where the zone gathers run — never what they compute.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "fault/breaker.h"
@@ -33,6 +38,15 @@ struct RegionalResult {
   double virtual_s = 0.0;               ///< summed zone gather virtual time
 };
 
+/// How a round runs its zone tasks: fan_out(n, task) must call task(i)
+/// once for every i in [0, n) and return after all have finished.  An
+/// empty FanOut runs task(0..n-1) inline, in order, on the calling
+/// thread, with metrics written straight to its sink.  A pool fan-out
+/// (exec::fan_out) must make the tasks' metric writes and spans land as
+/// if they had run that way, in index order.
+using FanOut = std::function<void(
+    std::size_t n, const std::function<void(std::size_t)>& task)>;
+
 /// A LocalCloud over a regional ground-truth field partitioned by a
 /// ZoneGrid, one NanoCloud per zone.
 class LocalCloud {
@@ -47,10 +61,8 @@ class LocalCloud {
   std::size_t zone_count() const noexcept { return clouds_.size(); }
   NanoCloud& nanocloud(std::size_t id) { return clouds_.at(id); }
   const field::ZoneGrid& grid() const noexcept { return grid_; }
-  /// Regional ground truth (what gather() scores nrmse against).
-  const field::SpatialField& truth() const noexcept { return *truth_; }
-  /// NC-broker -> head uplink radio model (for external drivers like the
-  /// parallel campaign runner that replicate gather()'s merge phase).
+  /// NC-broker -> head uplink radio model (what gather() charges each
+  /// zone's support-coefficient uplink to).
   const sim::LinkModel& uplink_link() const noexcept { return uplink_; }
 
   /// Attaches (or detaches, with nullptr) the degradation guard: gather()
@@ -63,20 +75,33 @@ class LocalCloud {
   void set_guard(fault::ZoneGuard* guard) noexcept { guard_ = guard; }
   fault::ZoneGuard* guard() const noexcept { return guard_; }
 
-  /// Gathers every zone with its decided budget and stitches the region.
-  /// `decisions` must have one entry per zone (any order is accepted but
-  /// ids must cover 0..Z-1 exactly); throws std::invalid_argument
-  /// otherwise.  Uplink traffic models each NC broker shipping its
-  /// support coefficients (16 B per coefficient: index + value) plus a
-  /// 32 B header to the head broker.  When the NC config carries a fault
-  /// injector, each regional round advances it one fault round
-  /// (FaultInjector::begin_round) before gathering — standalone NanoCloud
-  /// drivers must advance the injector themselves.
-  RegionalResult gather(const std::vector<ZoneDecision>& decisions, Rng& rng);
+  /// The round engine, and the only one: every driver (sequential,
+  /// ParallelCampaignRunner, ResumableCampaign) runs its rounds here.
+  /// In order, on the calling thread unless noted:
+  ///   1. validates `decisions` — one per zone, ids covering 0..Z-1
+  ///      exactly in any order (throws std::invalid_argument otherwise);
+  ///   2. advances the NC config's fault injector one fault round
+  ///      (FaultInjector::begin_round) — standalone NanoCloud drivers
+  ///      must advance it themselves;
+  ///   3. plans admission through the attached guard;
+  ///   4. forks one Rng per zone from `rng`, in zone order — always Z
+  ///      draws, shed zones included, so admission shifts no stream;
+  ///   5. runs the admitted zones' gathers through `fan_out`;
+  ///   6. makes the shed zones' results;
+  ///   7. folds, stitches and accounts uplink in zone order — each NC
+  ///      broker ships its support coefficients (16 B per coefficient:
+  ///      index + value) plus a 32 B header to the head broker;
+  ///   8. emits the `hier.localcloud.*` rollup once.
+  /// Zone z's work is a pure function of (rng state, z), so results
+  /// and metrics are the same for any fan-out that honours FanOut's
+  /// contract.
+  RegionalResult gather(const std::vector<ZoneDecision>& decisions, Rng& rng,
+                        const FanOut& fan_out = {});
 
   /// Convenience: uniform budget per zone (the Luo-style non-adaptive
   /// configuration at equal total cost).
-  RegionalResult gather_uniform(std::size_t measurements_per_zone, Rng& rng);
+  RegionalResult gather_uniform(std::size_t measurements_per_zone, Rng& rng,
+                                const FanOut& fan_out = {});
 
  private:
   const field::SpatialField* truth_;
@@ -94,17 +119,15 @@ class LocalCloud {
 /// `degraded_rounds` / `failovers` / `radio_failures` / `retries` /
 /// `recovered` / `replies` / `requested` / `energy_j`, gauge
 /// `hier.zone.nrmse`), all labelled `{zone="<id>"}` — the inputs
-/// obs::HealthEngine scores.  No-op when detached.  Called from the
-/// zone-order reduction loops of both gather paths (sequential and
-/// ParallelCampaignRunner) so reports from either path stay identical;
-/// flag-like series (degraded/failovers/radio_failures/retries/
-/// recovered) only appear once nonzero, keeping un-faulted runs' metric
-/// set unchanged.
+/// obs::HealthEngine scores.  No-op when detached.  Called from
+/// gather()'s zone-order fold; flag-like series (degraded/failovers/
+/// radio_failures/retries/recovered) only appear once nonzero, keeping
+/// un-faulted runs' metric set unchanged.
 void emit_zone_series(std::uint32_t zone, const GatherResult& res) noexcept;
 
 /// Emits the shed accounting for one refused zone (counters
 /// `fault.shed.rounds` + `fault.shed.breaker`/`fault.shed.budget`, plus
-/// a flight-recorder kShed event) — called by both gather paths, in the
+/// a flight-recorder kShed event) — called from gather()'s fold, in the
 /// same ascending zone order as emit_zone_series, only when a guard
 /// actually refused the zone, so benign runs emit nothing new.
 void emit_shed(std::uint32_t zone, fault::ZoneAdmission why) noexcept;

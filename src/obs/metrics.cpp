@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 namespace sensedroid::obs {
 
@@ -130,8 +131,10 @@ std::string prom_number(double v) {
 
 std::atomic<MetricsRegistry*> g_registry{nullptr};
 
-// Per-thread shard override (ScopedMetricShard).  Plain (non-atomic):
-// only ever touched by its own thread.
+// Per-thread overrides (ScopedMetricJournal, ScopedMetricShard).  Plain
+// (non-atomic): only ever touched by their own thread.  A bound journal
+// takes every helper call; otherwise a bound shard does.
+thread_local MetricJournal* t_journal = nullptr;
 thread_local MetricsRegistry* t_shard = nullptr;
 
 }  // namespace
@@ -323,12 +326,7 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
   std::lock_guard<std::mutex> lk(mu_);
   auto it = histograms_.find(key);
   if (it == histograms_.end()) {
-    if (!admit_series_locked(name)) {
-      if (!overflow_histogram_) {
-        overflow_histogram_ = std::make_unique<Histogram>();
-      }
-      return *overflow_histogram_;
-    }
+    if (!admit_series_locked(name)) return overflow_histogram_;
     auto metric = bounds.empty()
                       ? std::make_unique<Histogram>()
                       : std::make_unique<Histogram>(std::move(bounds));
@@ -403,29 +401,6 @@ void MetricsRegistry::clear() {
   // fast path included) taken before the clear.
   stamp_.store(g_next_stamp.fetch_add(1, std::memory_order_relaxed),
                std::memory_order_relaxed);
-}
-
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  // Snapshot first: samples() holds other's lock, our lookups hold ours,
-  // never both at once — merge_from(self) or cross-merges cannot
-  // deadlock.  samples() iterates sorted series maps, so the merge order
-  // (and therefore every floating-point accumulation) is deterministic.
-  for (const Sample& s : other.samples()) {
-    switch (s.kind) {
-      case 'c':
-        counter(s.name, s.labels).add(s.value);
-        break;
-      case 'g':
-        gauge(s.name, s.labels).set(s.value);
-        break;
-      case 'h':
-        histogram(s.name, s.labels, s.bounds)
-            .absorb(s.bounds, s.buckets, s.count, s.sum, s.min, s.max);
-        break;
-      default:
-        break;
-    }
-  }
 }
 
 std::vector<MetricsRegistry::Sample> MetricsRegistry::samples() const {
@@ -574,35 +549,92 @@ void attach_registry(MetricsRegistry* r) noexcept {
   g_registry.store(r, std::memory_order_release);
 }
 
+namespace {
+
+/// The registry this thread's helpers write to when no journal is bound.
 MetricsRegistry* sink() noexcept {
   MetricsRegistry* shard = t_shard;
   return shard != nullptr ? shard : registry();
 }
 
-bool attached() noexcept { return sink() != nullptr; }
+const Labels kNoLabels;
+
+}  // namespace
+
+bool attached() noexcept { return t_journal != nullptr || sink() != nullptr; }
 
 ScopedMetricShard::ScopedMetricShard(MetricsRegistry* shard) noexcept
-    : prev_(t_shard) {
+    : prev_(t_shard), prev_journal_(t_journal) {
   t_shard = shard;
+  t_journal = nullptr;
 }
 
-ScopedMetricShard::~ScopedMetricShard() { t_shard = prev_; }
+ScopedMetricShard::~ScopedMetricShard() {
+  t_shard = prev_;
+  t_journal = prev_journal_;
+}
+
+ScopedMetricJournal::ScopedMetricJournal(MetricJournal* journal) noexcept
+    : prev_(t_journal) {
+  t_journal = journal;
+}
+
+ScopedMetricJournal::~ScopedMetricJournal() { t_journal = prev_; }
+
+void MetricJournal::record(char kind, std::string_view name,
+                           const Labels& labels, double value) noexcept {
+  // A task writes few distinct series many times over, so each is stored
+  // once and a write costs a short scan instead of copying its strings.
+  std::size_t i = 0;
+  while (i < series_.size() &&
+         (series_[i].kind != kind || series_[i].name != name ||
+          series_[i].labels != labels)) {
+    ++i;
+  }
+  try {
+    if (i == series_.size()) {
+      series_.push_back({kind, std::string(name), labels});
+    }
+    writes_.emplace_back(i, value);
+  } catch (...) {
+  }
+}
+
+void MetricJournal::replay() const noexcept {
+  for (const auto& [i, value] : writes_) {
+    const Series& s = series_[i];
+    switch (s.kind) {
+      case 'c':
+        add_counter(s.name, s.labels, value);
+        break;
+      case 'g':
+        set_gauge(s.name, s.labels, value);
+        break;
+      default:
+        observe(s.name, s.labels, value);
+        break;
+    }
+  }
+}
 
 namespace {
 
-// Thread-local fast path for the unlabeled helpers: a direct-mapped
-// cache from metric name to the resolved metric pointer, validated by
-// the owning registry's stamp.  The slow path (mutex + map lookup +
-// series_key string build) costs ~150 ns, which at ~5 helper calls per
-// 12 µs OMP solve is most of the armed-vs-detached overhead budget; a
-// cache hit is a handful of compares.  Entries self-heal on any
-// mismatch (different sink, cleared registry, colliding slot) by
-// falling through to the slow path and overwriting the slot.
-constexpr std::size_t kFastSlots = 64;      // power of two
-constexpr std::size_t kFastNameCap = 47;    // names longer skip the cache
+// Thread-local fast path for the helpers: a direct-mapped cache from a
+// series key (the name, or name\0key\0value for one label pair) to the
+// resolved metric pointer, validated by the owning registry's stamp.
+// The slow path (mutex + map lookup + series_key string build) costs
+// ~150 ns, which at ~5 helper calls per 12 µs OMP solve is most of the
+// armed-vs-detached overhead budget, and a campaign round makes
+// thousands of labelled radio and energy writes; a cache hit is a hash
+// and a few compares.  Entries self-heal on any mismatch (different
+// sink, cleared registry, colliding slot) by falling through to the
+// slow path and overwriting the slot.  A refused series is never
+// cached, so every write to it still counts as a refused creation.
+constexpr std::size_t kFastSlots = 64;   // power of two
+constexpr std::size_t kFastKeyCap = 47;  // longer keys skip the cache
 
 struct FastEntry {
-  char name[kFastNameCap + 1];
+  char key[kFastKeyCap + 1];
   std::uint8_t len = 0;
   char kind = 0;  // 'c' counter, 'g' gauge, 'h' histogram
   const MetricsRegistry* reg = nullptr;
@@ -612,114 +644,101 @@ struct FastEntry {
 
 thread_local FastEntry t_fast[kFastSlots];
 
-std::size_t fast_slot(std::string_view name, char kind) noexcept {
-  // Helper call sites pass literals, so hashing the first/last bytes and
-  // the length separates the real name population well.
-  const std::size_t h = name.size() * 131 +
-                        static_cast<unsigned char>(name.front()) * 31 +
-                        static_cast<unsigned char>(name.back()) * 7 +
+/// The cache key for (name, labels), built in `buf` when labelled;
+/// empty (uncached) for two or more labels or a key over the cap.
+std::string_view fast_key(std::string_view name, const Labels& labels,
+                          char* buf) noexcept {
+  if (labels.empty()) return name.size() <= kFastKeyCap ? name : "";
+  if (labels.size() > 1) return {};
+  const auto& [k, v] = labels.front();
+  const std::size_t n = name.size() + k.size() + v.size() + 2;
+  if (n > kFastKeyCap) return {};
+  char* p = std::copy(name.begin(), name.end(), buf);
+  *p++ = '\0';
+  p = std::copy(k.begin(), k.end(), p);
+  *p++ = '\0';
+  std::copy(v.begin(), v.end(), p);
+  return {buf, n};
+}
+
+std::size_t fast_slot(std::string_view key, char kind) noexcept {
+  const std::size_t h = std::hash<std::string_view>{}(key) * 31 +
                         static_cast<unsigned char>(kind);
   return h & (kFastSlots - 1);
 }
 
-/// Returns the cached metric for (r, name, kind), or nullptr on miss.
-void* fast_lookup(const MetricsRegistry* r, std::string_view name,
-                  char kind) noexcept {
-  if (name.empty() || name.size() > kFastNameCap) return nullptr;
-  const FastEntry& e = t_fast[fast_slot(name, kind)];
-  if (e.kind == kind && e.reg == r && e.len == name.size() &&
-      e.stamp == r->stamp() &&
-      std::memcmp(e.name, name.data(), name.size()) == 0) {
-    return e.metric;
+/// The metric behind (name, labels) in `r`, created on first use;
+/// nullptr when creation threw.
+template <class T>
+T* resolve(MetricsRegistry* r, char kind, std::string_view name,
+           const Labels& labels) noexcept {
+  char buf[kFastKeyCap + 1];
+  const std::string_view key = fast_key(name, labels, buf);
+  FastEntry* e = key.empty() ? nullptr : &t_fast[fast_slot(key, kind)];
+  if (e != nullptr && e->kind == kind && e->reg == r &&
+      e->len == key.size() && e->stamp == r->stamp() &&
+      std::memcmp(e->key, key.data(), key.size()) == 0) {
+    return static_cast<T*>(e->metric);
   }
-  return nullptr;
-}
-
-void fast_store(const MetricsRegistry* r, std::string_view name, char kind,
-                void* metric) noexcept {
-  if (name.empty() || name.size() > kFastNameCap) return;
-  FastEntry& e = t_fast[fast_slot(name, kind)];
-  std::memcpy(e.name, name.data(), name.size());
-  e.len = static_cast<std::uint8_t>(name.size());
-  e.kind = kind;
-  e.reg = r;
-  e.stamp = r->stamp();
-  e.metric = metric;
+  try {
+    T* m;
+    if constexpr (std::is_same_v<T, Counter>) {
+      m = &r->counter(name, labels);
+    } else if constexpr (std::is_same_v<T, Gauge>) {
+      m = &r->gauge(name, labels);
+    } else {
+      m = &r->histogram(name, labels);
+    }
+    if (e != nullptr && !r->is_overflow(m)) {
+      std::memcpy(e->key, key.data(), key.size());
+      e->len = static_cast<std::uint8_t>(key.size());
+      e->kind = kind;
+      e->reg = r;
+      e->stamp = r->stamp();
+      e->metric = m;
+    }
+    return m;
+  } catch (...) {
+    return nullptr;
+  }
 }
 
 }  // namespace
 
 void add_counter(std::string_view name, double v) noexcept {
-  if (MetricsRegistry* r = sink()) {
-    if (void* m = fast_lookup(r, name, 'c')) {
-      static_cast<Counter*>(m)->add(v);
-      return;
-    }
-    try {
-      Counter& c = r->counter(name);
-      fast_store(r, name, 'c', &c);
-      c.add(v);
-    } catch (...) {
-    }
-  }
+  add_counter(name, kNoLabels, v);
 }
 
 void add_counter(std::string_view name, const Labels& labels,
                  double v) noexcept {
+  if (MetricJournal* j = t_journal) return j->record('c', name, labels, v);
   if (MetricsRegistry* r = sink()) {
-    try {
-      r->counter(name, labels).add(v);
-    } catch (...) {
-    }
+    if (Counter* c = resolve<Counter>(r, 'c', name, labels)) c->add(v);
   }
 }
 
 void set_gauge(std::string_view name, double v) noexcept {
-  if (MetricsRegistry* r = sink()) {
-    if (void* m = fast_lookup(r, name, 'g')) {
-      static_cast<Gauge*>(m)->set(v);
-      return;
-    }
-    try {
-      Gauge& g = r->gauge(name);
-      fast_store(r, name, 'g', &g);
-      g.set(v);
-    } catch (...) {
-    }
-  }
+  set_gauge(name, kNoLabels, v);
 }
 
 void set_gauge(std::string_view name, const Labels& labels,
                double v) noexcept {
+  if (MetricJournal* j = t_journal) return j->record('g', name, labels, v);
   if (MetricsRegistry* r = sink()) {
-    try {
-      r->gauge(name, labels).set(v);
-    } catch (...) {
-    }
+    if (Gauge* g = resolve<Gauge>(r, 'g', name, labels)) g->set(v);
   }
 }
 
 void observe(std::string_view name, double v) noexcept {
-  if (MetricsRegistry* r = sink()) {
-    if (void* m = fast_lookup(r, name, 'h')) {
-      static_cast<Histogram*>(m)->observe(v);
-      return;
-    }
-    try {
-      Histogram& h = r->histogram(name);
-      fast_store(r, name, 'h', &h);
-      h.observe(v);
-    } catch (...) {
-    }
-  }
+  observe(name, kNoLabels, v);
 }
 
 void observe(std::string_view name, const Labels& labels,
              double v) noexcept {
+  if (MetricJournal* j = t_journal) return j->record('h', name, labels, v);
   if (MetricsRegistry* r = sink()) {
-    try {
-      r->histogram(name, labels).observe(v);
-    } catch (...) {
+    if (Histogram* h = resolve<Histogram>(r, 'h', name, labels)) {
+      h->observe(v);
     }
   }
 }

@@ -102,8 +102,8 @@ class Histogram {
   /// Per-bucket counts; size() == bounds().size() + 1 (last = overflow).
   std::vector<std::uint64_t> bucket_counts() const;
 
-  /// Folds another histogram's exported state into this one (shard
-  /// merging).  When `bounds` matches this histogram's bounds the merge
+  /// Folds another histogram's exported state into this one (checkpoint
+  /// restore).  When `bounds` matches this histogram's bounds the merge
   /// is exact (bucket-wise); otherwise each foreign bucket is re-binned
   /// at its upper bound (overflow at `max`).  `sum` is added once either
   /// way, so mean/sum stay exact and only quantiles are approximate on a
@@ -170,17 +170,16 @@ class MetricsRegistry {
   /// registered); nullptr when absent.
   const Histogram* find_histogram(std::string_view name) const;
 
+  /// True when `metric` is a cardinality-guard sink: the series it was
+  /// handed out for was refused.
+  bool is_overflow(const void* metric) const noexcept {
+    return metric == &overflow_counter_ || metric == &overflow_gauge_ ||
+           metric == &overflow_histogram_;
+  }
+
   std::size_t series_count() const;
   /// Drops every series.  Invalidates references handed out earlier.
   void clear();
-
-  /// Folds every series of `other` into this registry: counters add,
-  /// gauges take `other`'s value (last merge wins), histograms absorb
-  /// bucket-wise.  Merging per-task shards into a base registry in a
-  /// fixed order (e.g. zone index) yields bit-identical floating-point
-  /// totals regardless of how many threads produced the shards — the
-  /// determinism lever the parallel campaign runner relies on.
-  void merge_from(const MetricsRegistry& other);
 
   /// {"counters":[...],"gauges":[...],"histograms":[...]}.  When
   /// `include_wall_clock` is false, series named `*_us` (wall-clock
@@ -230,7 +229,7 @@ class MetricsRegistry {
   // to exports, so callers always get a usable reference back.
   Counter overflow_counter_;
   Gauge overflow_gauge_;
-  std::unique_ptr<Histogram> overflow_histogram_;
+  Histogram overflow_histogram_;
 };
 
 // ---------------------------------------------------------------------
@@ -243,19 +242,55 @@ MetricsRegistry* registry() noexcept;
 /// the atomic pointer itself — attach before the workload starts.
 void attach_registry(MetricsRegistry* r) noexcept;
 
-/// Where this thread's helper calls land: the thread-local shard when a
-/// ScopedMetricShard is live on this thread, else the process registry.
-MetricsRegistry* sink() noexcept;
-/// True when sink() is non-null.
+/// True when this thread's helper calls land somewhere: a bound
+/// MetricJournal, a bound ScopedMetricShard, or the process registry.
 bool attached() noexcept;
 
+/// An ordered record of metric-helper calls: kind, name, labels, value.
+/// While a ScopedMetricJournal binds it, every helper call its thread
+/// makes is appended here instead of touching a registry.  replay()
+/// issues the same calls, in the same order, through the helpers on the
+/// calling thread, so a task that ran on a pool worker lands exactly the
+/// writes it would have made inline.  exec::fan_out binds one journal
+/// per task and replays them in task order: every floating-point
+/// accumulation then happens in the same order at any worker count.
+class MetricJournal {
+ public:
+  /// Appends one helper call ('c' counter add, 'g' gauge set,
+  /// 'h' histogram observe).  Swallows allocation failures.
+  void record(char kind, std::string_view name, const Labels& labels,
+              double value) noexcept;
+  /// Re-issues every recorded call through the helpers, oldest first.
+  void replay() const noexcept;
+
+ private:
+  struct Series {
+    char kind;
+    std::string name;
+    Labels labels;
+  };
+  std::vector<Series> series_;  // each distinct (kind, name, labels) once
+  std::vector<std::pair<std::size_t, double>> writes_;  // (series, value)
+};
+
+/// Binds `journal` as this thread's metric destination for the scope
+/// (restores the previous binding on destruction; nestable).
+class ScopedMetricJournal {
+ public:
+  explicit ScopedMetricJournal(MetricJournal* journal) noexcept;
+  ~ScopedMetricJournal();
+  ScopedMetricJournal(const ScopedMetricJournal&) = delete;
+  ScopedMetricJournal& operator=(const ScopedMetricJournal&) = delete;
+
+ private:
+  MetricJournal* prev_;
+};
+
 /// Redirects this thread's metric helpers into `shard` for the current
-/// scope (restores the previous binding on destruction; nestable).  The
-/// parallel campaign runner gives every zone task its own shard so hot
-/// paths never contend on shared atomics, then merges the shards into
-/// the base registry in zone order — making the merged floating-point
-/// totals independent of worker count and scheduling.  Binding nullptr
-/// restores process-registry routing for the scope.
+/// scope (restores the previous binding on destruction; nestable).  It
+/// also lifts any journal bound on the thread for the scope, so code
+/// that asks for an explicit registry (cs::SolveContext::metrics) gets
+/// it.  Binding nullptr restores process-registry routing for the scope.
 class ScopedMetricShard {
  public:
   explicit ScopedMetricShard(MetricsRegistry* shard) noexcept;
@@ -265,6 +300,7 @@ class ScopedMetricShard {
 
  private:
   MetricsRegistry* prev_;
+  MetricJournal* prev_journal_;
 };
 
 /// No-op when detached; swallows allocation failures (instrumentation

@@ -57,7 +57,7 @@ class TraceLog {
   /// accordingly.  Merging per-task shards in a fixed order (zone
   /// index) makes the merged log's structure — names, parents, depths,
   /// record order — identical at any worker count, mirroring what
-  /// ScopedMetricShard + merge_from do for metrics.  `shard` must be
+  /// MetricJournal replay does for metrics.  `shard` must be
   /// quiescent (its task has joined).
   void merge_from(const TraceLog& shard, std::uint64_t parent_id = 0);
 
@@ -97,9 +97,9 @@ struct TraceContext {
 /// scope — span ids are log-scoped, so spans already open against the
 /// previous sink must not become parents of shard records.  Spans in
 /// the shard therefore start at root; TraceLog::merge_from re-parents
-/// them under the span the merger designates.  The parallel campaign
-/// runner binds one shard per zone task and merges them into the main
-/// log in zone order, so the trace tree is worker-count-invariant.
+/// them under the span the merger designates.  exec::fan_out binds one
+/// shard per task and merges them into the caller's log in task order,
+/// so the trace tree is the same at any worker count, inline included.
 class ScopedTraceShard {
  public:
   explicit ScopedTraceShard(TraceLog* shard) noexcept;

@@ -494,13 +494,13 @@ TEST(CrashSafety, KillAndResumeIsByteIdenticalSequential) {
 TEST(CrashSafety, KillAndResumeIsByteIdenticalEightWorkers) {
   const CampaignResult uninterrupted = run_uninterrupted(8);
   expect_same(uninterrupted, run_killed_and_resumed(8, 8));
-  // The invariants compose: a campaign killed on ONE worker and resumed
-  // on EIGHT matches an uninterrupted 8-worker run — the §9 worker-count
-  // invariant survives a mid-campaign snapshot boundary.  (The pool-less
-  // LocalCloud::gather path is its own lane — it doesn't emit the
-  // exec.runner.* series — so cross-resume identity is a runner-path
-  // guarantee, covered sequentially by the test above.)
+  // The invariants compose: a campaign killed at one worker count and
+  // resumed at another (inline, 0 workers, included) matches an
+  // uninterrupted 8-worker run — the §9 worker-count invariant survives
+  // a mid-campaign snapshot boundary.
   expect_same(uninterrupted, run_killed_and_resumed(1, 8));
+  expect_same(uninterrupted, run_killed_and_resumed(0, 8));
+  expect_same(uninterrupted, run_killed_and_resumed(8, 0));
 }
 
 TEST(CrashSafety, RestoreRejectsSnapshotFromForeignWorldShape) {

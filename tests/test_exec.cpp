@@ -6,9 +6,13 @@
 // N.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdio>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -361,14 +365,117 @@ TEST(SolveBatchParallel, WorkerCountInvariantAndMatchesDirectBatch) {
   }
 }
 
+// A fan-out with a registry attached must leave that registry exactly
+// as a plain sequential loop over the same work does: the tasks' writes
+// replay one by one in task order, not as one merged total per task
+// (which would reorder every floating-point sum).
+std::string deterministic_report(const so::MetricsRegistry& reg) {
+  return so::RunReport::from_registry(reg, "fan-out",
+                                      /*include_wall_clock=*/false)
+      .to_json();
+}
+
+// The same series at full precision: the report prints 12 significant
+// digits, which can hide a reordered floating-point sum.
+std::string exact_view(const so::MetricsRegistry& reg) {
+  std::string out;
+  for (const auto& s : reg.samples()) {
+    if (s.name.ends_with("_us")) continue;  // wall clock
+    char values[96];
+    std::snprintf(values, sizeof(values), " %a %a %llu\n", s.value, s.sum,
+                  static_cast<unsigned long long>(s.count));
+    out += s.name;
+    for (const auto& [k, v] : s.labels) out += " " + k + "=" + v;
+    out += values;
+  }
+  return out;
+}
+
+TEST(FanOutMetrics, ChsBatchMatchesSequentialLoopReport) {
+  sl::Rng rng(14);
+  const std::size_t n = 48;
+  const Matrix basis = sl::dct_basis(n);
+  std::vector<sc::Measurement> signals;
+  for (int s = 0; s < 8; ++s) {
+    Vector alpha(n, 0.0);
+    alpha[1 + s] = 3.0;
+    alpha[9 + s] = -1.5;
+    Vector x = basis * alpha;
+    // Noise keeps every residual off zero, so sum order shows.
+    for (double& v : x) v += 0.05 * rng.gaussian();
+    auto plan = sc::MeasurementPlan::random(n, 20, rng);
+    signals.push_back(sc::measure_exact(x, std::move(plan)));
+  }
+  sc::ChsOptions opts;
+  opts.max_support = 6;
+
+  so::MetricsRegistry sequential;
+  so::attach_registry(&sequential);
+  for (const auto& m : signals) sc::chs_reconstruct(basis, m, opts);
+  so::attach_registry(nullptr);
+  ASSERT_GT(sequential.counter_sum("cs.chs.solves"), 0.0);
+
+  se::ThreadPool pool(4);
+  for (const std::size_t bs : {1u, 3u, 8u}) {
+    SCOPED_TRACE(bs);
+    so::MetricsRegistry fanned;
+    so::attach_registry(&fanned);
+    se::chs_reconstruct_batch(pool, basis, signals, opts, bs);
+    so::attach_registry(nullptr);
+    EXPECT_EQ(deterministic_report(sequential), deterministic_report(fanned));
+    EXPECT_EQ(exact_view(sequential), exact_view(fanned));
+  }
+}
+
+TEST(FanOutMetrics, SolveBatchParallelMatchesSequentialLoopReport) {
+  sl::Rng rng(15);
+  const std::size_t m = 24, n = 40, chunk = 3;
+  Matrix a(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.gaussian();
+  }
+  std::vector<Vector> ys;
+  for (int s = 0; s < 16; ++s) {
+    Vector alpha(n, 0.0);
+    alpha[3 + s] = 2.0;
+    alpha[20 + s % 5] = -1.0;
+    Vector y = a * alpha;
+    for (double& v : y) v += 0.05 * rng.gaussian();
+    ys.push_back(std::move(y));
+  }
+  const auto solver = sc::SolverRegistry::global().create("omp");
+  sc::SolveContext ctx;
+  ctx.sparsity = 4;
+
+  so::MetricsRegistry sequential;
+  so::attach_registry(&sequential);
+  const std::span<const Vector> all(ys);
+  for (std::size_t start = 0; start < ys.size(); start += chunk) {
+    const std::size_t count = std::min(chunk, ys.size() - start);
+    solver->solve_batch(a, all.subspan(start, count), ctx);
+  }
+  so::attach_registry(nullptr);
+  ASSERT_GT(sequential.counter_sum("cs.omp.solves"), 0.0);
+
+  se::ThreadPool pool(4);
+  so::MetricsRegistry fanned;
+  so::attach_registry(&fanned);
+  se::solve_batch_parallel(pool, *solver, a, ys, ctx, chunk);
+  so::attach_registry(nullptr);
+  EXPECT_EQ(deterministic_report(sequential), deterministic_report(fanned));
+  EXPECT_EQ(exact_view(sequential), exact_view(fanned));
+}
+
 // ------------------------------------------------- deterministic campaigns
 
 // One faulted 8-zone campaign (the PR-2 replay fixture's fault knobs on
-// a LocalCloud), run through the parallel runner with `workers` threads.
-// Returns the deterministic RunReport JSON plus the per-round regional
-// results.
+// a LocalCloud), run through the parallel runner with `workers` threads,
+// or through the inline engine (LocalCloud::gather, no pool) when
+// `workers` is 0.  Returns the deterministic RunReport JSON plus the
+// per-round regional results.
 struct CampaignRun {
   std::string report_json;
+  std::string exact;  // exact_view of the registry
   std::vector<double> nrmse;
   std::vector<std::size_t> measurements;
   sensedroid::middleware::GatherStats stats;
@@ -403,12 +510,17 @@ CampaignRun run_parallel_campaign(std::size_t workers,
 
   sl::Rng rng(7);
   sh::LocalCloud cloud(truth, grid, cfg, rng);
-  se::ThreadPool pool(workers);
-  se::ParallelCampaignRunner runner(cloud, pool);
+  std::optional<se::ThreadPool> pool;
+  std::optional<se::ParallelCampaignRunner> runner;
+  if (workers > 0) {
+    pool.emplace(workers);
+    runner.emplace(cloud, *pool);
+  }
 
   CampaignRun out;
   for (int round = 0; round < 3; ++round) {
-    const auto res = runner.run_round_uniform(20, rng);
+    const auto res = runner ? runner->run_round_uniform(20, rng)
+                            : cloud.gather_uniform(20, rng);
     out.nrmse.push_back(res.nrmse);
     out.measurements.push_back(res.total_measurements);
     out.stats += res.stats;
@@ -416,29 +528,43 @@ CampaignRun run_parallel_campaign(std::size_t workers,
   const auto report = so::RunReport::from_registry(
       reg, "exec-determinism", /*include_wall_clock=*/false);
   out.report_json = report.to_json();
+  out.exact = exact_view(reg);
   so::attach_registry(nullptr);
   return out;
 }
 
+// Every run's deterministic report, per-round NRMSE and measurement
+// counts equal the first run's.
+void expect_same_runs(const std::vector<CampaignRun>& runs) {
+  const CampaignRun& ref = runs.front();
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    SCOPED_TRACE(r);
+    EXPECT_EQ(ref.report_json, runs[r].report_json);
+    EXPECT_EQ(ref.exact, runs[r].exact);
+    ASSERT_EQ(ref.nrmse.size(), runs[r].nrmse.size());
+    for (std::size_t i = 0; i < ref.nrmse.size(); ++i) {
+      EXPECT_EQ(ref.nrmse[i], runs[r].nrmse[i]);  // bit-identical
+      EXPECT_EQ(ref.measurements[i], runs[r].measurements[i]);
+    }
+  }
+}
+
 TEST(ParallelCampaign, OneWorkerAndEightWorkersAreByteIdentical) {
+  const CampaignRun inline_run = run_parallel_campaign(0);
   const CampaignRun serial = run_parallel_campaign(1);
   const CampaignRun parallel = run_parallel_campaign(8);
 
   // Headline invariant: the deterministic RunReport view — every
   // counter, gauge, and histogram except wall-clock timings — is
-  // byte-for-byte the same string at any worker count.
-  EXPECT_EQ(serial.report_json, parallel.report_json);
-
-  ASSERT_EQ(serial.nrmse.size(), parallel.nrmse.size());
-  for (std::size_t i = 0; i < serial.nrmse.size(); ++i) {
-    EXPECT_EQ(serial.nrmse[i], parallel.nrmse[i]);  // bit-identical
-    EXPECT_EQ(serial.measurements[i], parallel.measurements[i]);
+  // byte-for-byte the same string inline and at any worker count.
+  expect_same_runs({inline_run, serial, parallel});
+  for (const CampaignRun* run : {&inline_run, &parallel}) {
+    EXPECT_EQ(serial.stats.commands_sent, run->stats.commands_sent);
+    EXPECT_EQ(serial.stats.replies_received, run->stats.replies_received);
+    EXPECT_EQ(serial.stats.radio_failures, run->stats.radio_failures);
+    EXPECT_EQ(serial.stats.retries, run->stats.retries);
+    EXPECT_EQ(serial.stats.broker_energy_j, run->stats.broker_energy_j);
   }
-  EXPECT_EQ(serial.stats.commands_sent, parallel.stats.commands_sent);
-  EXPECT_EQ(serial.stats.replies_received, parallel.stats.replies_received);
-  EXPECT_EQ(serial.stats.radio_failures, parallel.stats.radio_failures);
-  EXPECT_EQ(serial.stats.retries, parallel.stats.retries);
-  EXPECT_EQ(serial.stats.broker_energy_j, parallel.stats.broker_energy_j);
 
   // And the campaign genuinely exercised the fault machinery — a quiet
   // fixture would make the invariant vacuous.
@@ -451,14 +577,9 @@ TEST(ParallelCampaign, OneWorkerAndEightWorkersAreByteIdentical) {
 // so any pivot-order or warm-start nondeterminism would surface here as
 // a diverging report or NRMSE.
 TEST(ParallelCampaign, BpRefitStaysByteIdenticalAcrossWorkerCounts) {
-  const CampaignRun serial = run_parallel_campaign(1, "bp");
-  const CampaignRun parallel = run_parallel_campaign(8, "bp");
-  EXPECT_EQ(serial.report_json, parallel.report_json);
-  ASSERT_EQ(serial.nrmse.size(), parallel.nrmse.size());
-  for (std::size_t i = 0; i < serial.nrmse.size(); ++i) {
-    EXPECT_EQ(serial.nrmse[i], parallel.nrmse[i]);  // bit-identical
-    EXPECT_EQ(serial.measurements[i], parallel.measurements[i]);
-  }
+  expect_same_runs({run_parallel_campaign(0, "bp"),
+                    run_parallel_campaign(1, "bp"),
+                    run_parallel_campaign(8, "bp")});
 }
 
 TEST(ParallelCampaign, ReplaysBitIdenticallyAtTheSameWorkerCount) {

@@ -499,6 +499,60 @@ TEST_F(ObsTest, HelperFastPathSurvivesClearAndRegistrySwap) {
   EXPECT_DOUBLE_EQ(b.counter_sum(long_name), 2.0);
 }
 
+// Labelled helper calls share the fast path, but a series the
+// cardinality guard refused is never cached: every write to it is
+// counted as a refused creation, and admitted series stay exact.
+TEST_F(ObsTest, LabelledFastPathNeverCachesRefusedSeries) {
+  obs::MetricsRegistry reg;
+  reg.set_series_limit(1);
+  obs::attach_registry(&reg);
+  obs::add_counter("test.cap", {{"k", "a"}}, 1.0);  // admitted
+  for (int i = 0; i < 3; ++i) obs::add_counter("test.cap", {{"k", "b"}}, 1.0);
+  EXPECT_DOUBLE_EQ(reg.dropped_series(), 3.0);
+  obs::add_counter("test.cap", {{"k", "a"}}, 1.0);
+  EXPECT_DOUBLE_EQ(reg.counter_value("test.cap", {{"k", "a"}}), 2.0);
+  EXPECT_DOUBLE_EQ(reg.counter_sum("test.cap"), 2.0);
+}
+
+// A journal holds every helper call of its scope back from the
+// registry; replay() then lands exactly the writes the calls would have
+// made directly, so the two registries export the same bytes.
+TEST_F(ObsTest, JournalReplayMatchesDirectWrites) {
+  const auto writes = [] {
+    obs::add_counter("test.j.count", 0.1);
+    obs::add_counter("test.j.count", {{"zone", "3"}}, 0.7);
+    obs::set_gauge("test.j.gauge", 2.5);
+    obs::set_gauge("test.j.gauge", {{"zone", "3"}}, 4.0);
+    obs::observe("test.j.hist", 0.3);
+    obs::observe("test.j.hist", {{"zone", "3"}}, 7.0);
+    obs::add_counter("test.j.count", 0.2);
+  };
+  obs::MetricsRegistry direct;
+  obs::attach_registry(&direct);
+  writes();
+
+  obs::MetricsRegistry replayed;
+  obs::attach_registry(&replayed);
+  obs::MetricJournal journal;
+  {
+    obs::ScopedMetricJournal bind(&journal);
+    EXPECT_TRUE(obs::attached());
+    writes();
+  }
+  EXPECT_EQ(replayed.series_count(), 0u);  // nothing landed yet
+  journal.replay();
+  EXPECT_EQ(replayed.to_json(), direct.to_json());
+
+  // A shard bound inside a journal scope takes the writes for its scope.
+  obs::MetricsRegistry shard;
+  {
+    obs::ScopedMetricJournal bind(&journal);
+    obs::ScopedMetricShard inner(&shard);
+    obs::add_counter("test.j.shard");
+  }
+  EXPECT_DOUBLE_EQ(shard.counter_sum("test.j.shard"), 1.0);
+}
+
 // --------------------------------------------------- exporter conformance
 
 TEST_F(ObsTest, PrometheusEscapesLabelValues) {

@@ -333,19 +333,27 @@ void run_traced_campaign(std::size_t workers, so::TraceLog& log) {
   sl::Rng rng(17);
   sh::LocalCloud cloud(truth, grid, cfg, rng);
   so::attach_trace(&log);
-  se::ThreadPool pool(workers);
-  se::ParallelCampaignRunner runner(cloud, pool);
-  runner.run_round_uniform(10, rng);
-  runner.run_round_uniform(10, rng);
+  if (workers == 0) {  // the inline engine, no pool
+    cloud.gather_uniform(10, rng);
+    cloud.gather_uniform(10, rng);
+  } else {
+    se::ThreadPool pool(workers);
+    se::ParallelCampaignRunner runner(cloud, pool);
+    runner.run_round_uniform(10, rng);
+    runner.run_round_uniform(10, rng);
+  }
   so::attach_trace(nullptr);
 }
 
 TEST_F(TelemetryTest, CampaignTraceTreeIsWorkerCountInvariant) {
+  so::TraceLog inline_log;
   so::TraceLog serial;
   so::TraceLog parallel;
+  run_traced_campaign(0, inline_log);
   run_traced_campaign(1, serial);
   run_traced_campaign(8, parallel);
   const std::string shape = trace_shape(serial);
+  EXPECT_EQ(shape, trace_shape(inline_log));
   EXPECT_EQ(shape, trace_shape(parallel));
   // And the shape is the intended one: every zone gather is a child of a
   // round span, not a disconnected root.
@@ -353,7 +361,7 @@ TEST_F(TelemetryTest, CampaignTraceTreeIsWorkerCountInvariant) {
   std::uint64_t round_id = 0;
   std::size_t gathers = 0;
   for (const auto& s : spans) {
-    if (s.name == "exec.runner.round") round_id = s.id;
+    if (s.name == "hier.localcloud.gather") round_id = s.id;
     if (s.name == "hier.nanocloud.gather") {
       ++gathers;
       EXPECT_EQ(s.parent, round_id) << "gather not nested under round";
