@@ -136,6 +136,28 @@ void BM_ChsReconstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_ChsReconstruct)->Arg(128)->Arg(256)->Arg(512);
 
+// The production per-zone solve: NanoCloud's default CHS (2-D kLinear
+// Upsilon, GLS refit over a heterogeneous fleet) on a 16x16 zone with
+// m = 64 readings and its separable 2-D DCT basis.  BM_ChsReconstruct
+// runs 1-D zero-fill OLS and never reaches Upsilon.
+void BM_ChsZone2d(benchmark::State& state) {
+  constexpr std::size_t kSide = 16, m = 64;
+  const auto basis = linalg::dct2_basis(kSide, kSide);
+  linalg::Rng rng(21);
+  const auto x = sparse_signal(basis, 6, rng);
+  auto plan = cs::MeasurementPlan::random(kSide * kSide, m, rng);
+  auto noise = cs::SensorNoise::heterogeneous(m, 0.05, 0.5, rng);
+  const auto meas = cs::measure(x, std::move(plan), std::move(noise), rng);
+  cs::ChsOptions opts;
+  opts.interpolation = cs::Interpolation::kLinear;
+  opts.refit_solver = "gls";
+  opts.grid_height = kSide;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cs::chs_reconstruct(basis, meas, opts));
+  }
+}
+BENCHMARK(BM_ChsZone2d);
+
 void BM_Ols(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const std::size_t k = m / 3;

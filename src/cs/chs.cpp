@@ -19,24 +19,40 @@ namespace sensedroid::cs {
 
 using linalg::norm2;
 
-Vector interpolate_to_grid(std::span<const double> values,
-                           std::span<const std::size_t> locations,
-                           std::size_t n, Interpolation kind) {
-  if (values.size() != locations.size()) {
-    throw std::invalid_argument("interpolate_to_grid: size mismatch");
+Upsilon::Upsilon(std::span<const std::size_t> locations, std::size_t n,
+                 std::size_t height, Interpolation kind)
+    : n_(n),
+      kind_(kind),
+      two_d_(height > 0),
+      locations_(locations.begin(), locations.end()) {
+  if (two_d_ && n % height != 0) {
+    throw std::invalid_argument("Upsilon: height must divide n");
   }
-  Vector out(n, 0.0);
-  if (values.empty()) return out;
-  const std::size_t m = values.size();
+  const std::size_t m = locations.size();
+  for (std::size_t i = 0; i < m; ++i) {
+    if (locations[i] >= n) {
+      throw std::invalid_argument("Upsilon: location out of range");
+    }
+    if (i > 0 && locations[i] <= locations[i - 1]) {
+      throw std::invalid_argument(
+          "Upsilon: locations must be strictly ascending");
+    }
+  }
+  if (kind != Interpolation::kZeroFill &&
+      kind != Interpolation::kNearest && kind != Interpolation::kLinear) {
+    throw std::invalid_argument("Upsilon: unknown interpolation");
+  }
+  if (kind == Interpolation::kZeroFill || m == 0) return;
 
-  switch (kind) {
-    case Interpolation::kZeroFill:
-      for (std::size_t i = 0; i < m; ++i) out[locations[i]] = values[i];
-      return out;
+  blend_.assign(n, 0);
+  sample_.assign(kSlots * n, 0);
+  weight_.assign(kSlots * n, 0.0);
 
-    case Interpolation::kNearest: {
-      std::size_t j = 0;  // index of nearest-on-the-left sample
-      for (std::size_t g = 0; g < n; ++g) {
+  if (!two_d_) {
+    std::size_t j = 0;  // index of the nearest-on-the-left sample
+    for (std::size_t g = 0; g < n; ++g) {
+      std::size_t* s = &sample_[kSlots * g];
+      if (kind == Interpolation::kNearest) {
         while (j + 1 < m && locations[j + 1] <= g) ++j;
         std::size_t pick = j;
         if (j + 1 < m) {
@@ -45,101 +61,140 @@ Vector interpolate_to_grid(std::span<const double> values,
           const std::size_t dr = locations[j + 1] - g;
           if (dr < dl) pick = j + 1;
         }
-        out[g] = values[pick];
+        s[0] = pick;
+      } else if (g <= locations.front()) {
+        s[0] = 0;  // flat extrapolation on the left
+      } else if (g >= locations.back()) {
+        s[0] = m - 1;  // and on the right
+      } else {
+        // The bracketing pair; the blend runs even when g is on a sample.
+        const auto it = std::upper_bound(locations.begin(), locations.end(), g);
+        const auto hi = static_cast<std::size_t>(it - locations.begin());
+        const std::size_t lo = hi - 1;
+        const double t = static_cast<double>(g - locations[lo]) /
+                         static_cast<double>(locations[hi] - locations[lo]);
+        blend_[g] = 1;
+        s[0] = lo;
+        s[1] = hi;
+        weight_[kSlots * g] = 1.0 - t;
+        weight_[kSlots * g + 1] = t;
       }
-      return out;
     }
+    return;
+  }
 
-    case Interpolation::kLinear: {
-      for (std::size_t g = 0; g < n; ++g) {
-        if (g <= locations.front()) {
-          out[g] = values.front();
-        } else if (g >= locations.back()) {
-          out[g] = values.back();
-        } else {
-          // Find the bracketing pair (locations sorted).
-          const auto it =
-              std::upper_bound(locations.begin(), locations.end(), g);
-          const std::size_t hi = static_cast<std::size_t>(
-              std::distance(locations.begin(), it));
-          const std::size_t lo = hi - 1;
-          const double t = static_cast<double>(g - locations[lo]) /
-                           static_cast<double>(locations[hi] - locations[lo]);
-          out[g] = (1.0 - t) * values[lo] + t * values[hi];
+  // 2-D: sample coordinates once, then a scan over the samples per grid
+  // point.  Coordinates are integers, so every d2 below is exact.
+  std::vector<double> si(m), sj(m);
+  for (std::size_t s = 0; s < m; ++s) {
+    si[s] = static_cast<double>(locations[s] % height);
+    sj[s] = static_cast<double>(locations[s] / height);
+  }
+  if (kind == Interpolation::kLinear) wsum_.assign(n, 0.0);
+  for (std::size_t g = 0; g < n; ++g) {
+    const double gi = static_cast<double>(g % height);
+    const double gj = static_cast<double>(g / height);
+    std::size_t* slot = &sample_[kSlots * g];
+    if (kind == Interpolation::kNearest) {
+      double best_d2 = 1e300;
+      for (std::size_t s = 0; s < m; ++s) {
+        const double di = si[s] - gi;
+        const double dj = sj[s] - gj;
+        const double d2 = di * di + dj * dj;
+        if (d2 < best_d2) {  // strict: ties keep the earlier sample
+          best_d2 = d2;
+          slot[0] = s;
         }
       }
-      return out;
+      continue;
+    }
+    // kLinear: the kSlots nearest samples by insertion in sample order.
+    // A displaced neighbour moves on past equal distances, so ties are
+    // not kept in sample order; the rule is kept because the output must
+    // match the per-call code bit for bit.  A sample no nearer than the
+    // current last neighbour would pass every comparison without a swap,
+    // so it is skipped before the insertion.
+    std::array<double, kSlots> nd2;
+    std::array<std::size_t, kSlots> ns{};
+    nd2.fill(1e300);
+    for (std::size_t s = 0; s < m; ++s) {
+      const double di = si[s] - gi;
+      const double dj = sj[s] - gj;
+      double d2 = di * di + dj * dj;
+      if (!(d2 < nd2[kSlots - 1])) continue;
+      std::size_t idx = s;
+      for (std::size_t r = 0; r < kSlots; ++r) {
+        if (d2 < nd2[r]) {
+          std::swap(d2, nd2[r]);
+          std::swap(idx, ns[r]);
+        }
+      }
+    }
+    if (nd2[0] <= 1e-12) {
+      slot[0] = ns[0];  // exactly on a sample
+      continue;
+    }
+    double wsum = 0.0;
+    for (std::size_t r = 0; r < kSlots && nd2[r] < 1e300; ++r) {
+      const double w = 1.0 / nd2[r];  // inverse squared distance
+      slot[r] = ns[r];
+      weight_[kSlots * g + r] = w;
+      wsum += w;
+    }
+    blend_[g] = 1;
+    wsum_[g] = wsum;
+  }
+}
+
+Vector Upsilon::apply(std::span<const double> values) const {
+  if (values.size() != locations_.size()) {
+    throw std::invalid_argument("Upsilon: size mismatch");
+  }
+  Vector out(n_, 0.0);
+  if (values.empty()) return out;
+  if (kind_ == Interpolation::kZeroFill) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      out[locations_[i]] = values[i];
+    }
+    return out;
+  }
+  for (std::size_t g = 0; g < n_; ++g) {
+    const std::size_t* s = &sample_[kSlots * g];
+    const double* w = &weight_[kSlots * g];
+    if (!blend_[g]) {
+      out[g] = values[s[0]];
+    } else if (!two_d_) {
+      out[g] = w[0] * values[s[0]] + w[1] * values[s[1]];
+    } else {
+      // Unused slots hold weight 0.  Stopping on it, as the from-scratch
+      // loop stops on its distance sentinel, keeps this a scalar chain:
+      // a counted loop here gets vectorized as products then sums, which
+      // rounds differently from the contracted multiply-adds.
+      double acc = 0.0;
+      for (std::size_t r = 0; r < kSlots && w[r] != 0.0; ++r) {
+        acc += w[r] * values[s[r]];
+      }
+      out[g] = acc / wsum_[g];  // wsum_ > 0: every blend has a weight
     }
   }
-  throw std::invalid_argument("interpolate_to_grid: unknown interpolation");
+  return out;
+}
+
+Vector interpolate_to_grid(std::span<const double> values,
+                           std::span<const std::size_t> locations,
+                           std::size_t n, Interpolation kind) {
+  return Upsilon(locations, n, 0, kind).apply(values);
 }
 
 Vector interpolate_to_grid_2d(std::span<const double> values,
                               std::span<const std::size_t> locations,
                               std::size_t n, std::size_t height,
                               Interpolation kind) {
-  if (values.size() != locations.size()) {
-    throw std::invalid_argument("interpolate_to_grid_2d: size mismatch");
-  }
-  if (height == 0 || n % height != 0) {
+  if (height == 0) {
     throw std::invalid_argument(
         "interpolate_to_grid_2d: height must divide n");
   }
-  if (kind == Interpolation::kZeroFill || values.empty()) {
-    return interpolate_to_grid(values, locations, n,
-                               Interpolation::kZeroFill);
-  }
-  const std::size_t m = values.size();
-  Vector out(n, 0.0);
-  for (std::size_t g = 0; g < n; ++g) {
-    const double gi = static_cast<double>(g % height);
-    const double gj = static_cast<double>(g / height);
-    if (kind == Interpolation::kNearest) {
-      double best_d2 = 1e300;
-      double best_v = 0.0;
-      for (std::size_t s = 0; s < m; ++s) {
-        const double di = static_cast<double>(locations[s] % height) - gi;
-        const double dj = static_cast<double>(locations[s] / height) - gj;
-        const double d2 = di * di + dj * dj;
-        if (d2 < best_d2) {
-          best_d2 = d2;
-          best_v = values[s];
-        }
-      }
-      out[g] = best_v;
-    } else {  // kLinear: inverse-distance blend of the 4 nearest samples
-      constexpr std::size_t kNeighbors = 4;
-      std::array<double, kNeighbors> nd2;
-      std::array<double, kNeighbors> nv;
-      nd2.fill(1e300);
-      nv.fill(0.0);
-      for (std::size_t s = 0; s < m; ++s) {
-        const double di = static_cast<double>(locations[s] % height) - gi;
-        const double dj = static_cast<double>(locations[s] / height) - gj;
-        double d2 = di * di + dj * dj;
-        double v = values[s];
-        // Insertion into the small sorted neighbor set.
-        for (std::size_t r = 0; r < kNeighbors; ++r) {
-          if (d2 < nd2[r]) {
-            std::swap(d2, nd2[r]);
-            std::swap(v, nv[r]);
-          }
-        }
-      }
-      if (nd2[0] <= 1e-12) {
-        out[g] = nv[0];  // exactly on a sample
-      } else {
-        double wsum = 0.0, acc = 0.0;
-        for (std::size_t r = 0; r < kNeighbors && nd2[r] < 1e300; ++r) {
-          const double w = 1.0 / nd2[r];  // inverse squared distance
-          acc += w * nv[r];
-          wsum += w;
-        }
-        out[g] = wsum > 0.0 ? acc / wsum : 0.0;
-      }
-    }
-  }
-  return out;
+  return Upsilon(locations, n, height, kind).apply(values);
 }
 
 namespace {
@@ -201,7 +256,8 @@ std::optional<Measurement> mad_screen(const Measurement& meas,
 // matrix path and the structured-operator path cannot drift.  The view
 // supplies the four places the basis representation matters:
 //
-//   analyze()          — steps (a)+(b), residual -> coefficient proxy;
+//   analyze()          — steps (a)+(b), residual -> coefficient proxy
+//                        through the solve's one Upsilon stencil;
 //   support_matrix()   — the M x K refit matrix Phi~_K;
 //   try_cache_refit()  — the incremental-QR shortcut (dense only);
 //   reconstruct_into() — step 4's synthesis x_hat = Phi_K alpha_K.
@@ -220,24 +276,16 @@ struct DenseChsView {
   DenseChsView(const Matrix& b, const MeasurementPlan& plan)
       : basis(b), phi_rows(plan.select_rows(b)), qr_cache(phi_rows) {}
 
-  Vector analyze(const Vector& residual,
-                 std::span<const std::size_t> locations, std::size_t n,
-                 const ChsOptions& opts) const {
+  Vector analyze(const Vector& residual, const Upsilon& upsilon) const {
     // (a)+(b) Upsilon then analyze: residual onto the full grid, then
     // into the basis.  Zero-fill leaves e_full zero off the sampled
     // locations, so Phi^T e_full collapses to Phi_rows^T residual — the
     // sparsity is exploited explicitly here (M rows instead of N)
     // rather than by a data-dependent zero-skip inside the kernel.
-    if (opts.interpolation == Interpolation::kZeroFill) {
+    if (upsilon.kind() == Interpolation::kZeroFill) {
       return phi_rows.transpose_times(residual);
     }
-    const Vector e_full =
-        opts.grid_height > 0
-            ? interpolate_to_grid_2d(residual, locations, n,
-                                     opts.grid_height, opts.interpolation)
-            : interpolate_to_grid(residual, locations, n,
-                                  opts.interpolation);
-    return basis.transpose_times(e_full);
+    return basis.transpose_times(upsilon.apply(residual));
   }
 
   Matrix support_matrix(const std::vector<std::size_t>& support) const {
@@ -275,27 +323,11 @@ struct OperatorChsView {
                   const MeasurementPlan& plan)
       : basis(b), locations(plan.indices()), colbuf(b.rows()) {}
 
-  Vector analyze(const Vector& residual,
-                 std::span<const std::size_t> locs, std::size_t n,
-                 const ChsOptions& opts) const {
+  Vector analyze(const Vector& residual, const Upsilon& upsilon) const {
     // Zero-fill *is* the scatter here: the fast analysis transform wants
     // the full grid anyway, and scatter + O(N log N) beats the dense
     // path's O(MN) row-matrix product.
-    Vector e_full;
-    if (opts.interpolation == Interpolation::kZeroFill) {
-      e_full.assign(n, 0.0);
-      for (std::size_t i = 0; i < residual.size(); ++i) {
-        e_full[locs[i]] = residual[i];
-      }
-    } else {
-      e_full = opts.grid_height > 0
-                   ? interpolate_to_grid_2d(residual, locs, n,
-                                            opts.grid_height,
-                                            opts.interpolation)
-                   : interpolate_to_grid(residual, locs, n,
-                                         opts.interpolation);
-    }
-    return basis.apply_transpose(e_full);
+    return basis.apply_transpose(upsilon.apply(residual));
   }
 
   Matrix support_matrix(const std::vector<std::size_t>& support) const {
@@ -352,7 +384,10 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
       opts.max_support == 0 ? std::max<std::size_t>(m / 2, 1)
                             : opts.max_support,
       m);
-  const auto locations = meas.plan.indices();
+  // Step (a)'s geometry depends only on the plan, so Upsilon is built
+  // once here and applied to every iteration's residual.
+  const Upsilon upsilon(meas.plan.indices(), n, opts.grid_height,
+                        opts.interpolation);
 
   // The support grows by sorted insertion each accepted batch and the
   // undo path retracts exactly the last batch, so successive refit
@@ -467,7 +502,7 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
 
     // (a)+(b) Upsilon then analyze — representation-specific, see the
     // view comments above.
-    const Vector alpha_r = view.analyze(residual, locations, n, opts);
+    const Vector alpha_r = view.analyze(residual, upsilon);
 
     // (c) pick significant, not-yet-selected coefficients.
     double max_mag = 0.0;

@@ -109,16 +109,55 @@ ChsResult chs_reconstruct(const linalg::LinearOperator& basis,
                           const Measurement& meas,
                           const ChsOptions& opts = {});
 
-/// The interpolation operator Upsilon exposed for tests: spreads `values`
-/// at sorted `locations` onto a length-n grid.
+/// The interpolation operator Upsilon as a stencil.  Its geometry depends
+/// only on the sample locations, never on the values, so CHS builds it
+/// once per solve and applies it to every iteration's residual.  Building
+/// costs O(N M) for the 2-D kinds and at most O(N log M) otherwise;
+/// apply() does at most four multiply-adds per grid point, in the same
+/// order as a from-scratch interpolation, so its output is bit-identical
+/// to one.
+class Upsilon {
+ public:
+  /// `height` > 0 selects the 2-D geometry of a column-stacked
+  /// height x (n/height) field, 0 the 1-D one.  Throws
+  /// std::invalid_argument when height does not divide n, or when the
+  /// locations are not strictly ascending and all < n.
+  Upsilon(std::span<const std::size_t> locations, std::size_t n,
+          std::size_t height, Interpolation kind);
+
+  /// Spreads `values` (one per location) onto the length-n grid.  Throws
+  /// std::invalid_argument on a size mismatch.
+  Vector apply(std::span<const double> values) const;
+
+  Interpolation kind() const noexcept { return kind_; }
+
+ private:
+  static constexpr std::size_t kSlots = 4;  // neighbours per grid point
+
+  std::size_t n_ = 0;
+  Interpolation kind_;
+  bool two_d_ = false;
+  std::vector<std::size_t> locations_;  // kZeroFill scatters onto these
+  // Grid point g copies the sample in slot kSlots g of sample_, or,
+  // when blend_[g] is set, blends its slots that have a nonzero weight_.
+  std::vector<std::uint8_t> blend_;
+  std::vector<std::size_t> sample_;
+  std::vector<double> weight_;
+  std::vector<double> wsum_;  // 2-D kLinear: sum of g's weights
+};
+
+/// 1-D Upsilon: spreads `values` at strictly ascending `locations` onto a
+/// length-n grid.  Throws std::invalid_argument on a size mismatch, a
+/// location >= n, or locations out of order.
 Vector interpolate_to_grid(std::span<const double> values,
                            std::span<const std::size_t> locations,
                            std::size_t n, Interpolation kind);
 
 /// 2-D Upsilon over a column-stacked height x (n/height) field:
 /// kZeroFill as in 1-D; kNearest copies the Euclidean-nearest sample;
-/// kLinear blends the four nearest samples by inverse distance.
-/// Throws std::invalid_argument when height does not divide n.
+/// kLinear blends the four nearest samples by inverse distance.  Throws
+/// std::invalid_argument when height does not divide n, and as
+/// interpolate_to_grid does.
 Vector interpolate_to_grid_2d(std::span<const double> values,
                               std::span<const std::size_t> locations,
                               std::size_t n, std::size_t height,

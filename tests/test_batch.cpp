@@ -420,6 +420,53 @@ TEST(ChsOperator, MatchesDenseBasis2dLinearInterpolation) {
   EXPECT_LE(max_abs_diff(fast.reconstruction, dense.reconstruction), 1e-9);
 }
 
+TEST(ChsOperator, MatchesDenseBasis2dNearestInterpolation) {
+  const std::size_t w = 12, h = 9, n = w * h;
+  const auto basis = sl::dct2_basis(w, h);
+  sl::Rng rng(104);
+  sl::Vector alpha(n, 0.0);
+  for (std::size_t j : rng.sample_without_replacement(n / 3, 5)) {
+    alpha[j] = rng.uniform(1.0, 2.0);
+  }
+  const auto x = sl::synthesize(basis, alpha);
+  auto meas = sc::measure_exact(x, sc::MeasurementPlan::random(n, 40, rng));
+
+  sc::ChsOptions opts;
+  opts.max_support = 10;
+  opts.interpolation = sc::Interpolation::kNearest;
+  opts.grid_height = h;
+  const auto dense = sc::chs_reconstruct(basis, meas, opts);
+  sl::SubsampledDctOperator op(w, h, {});
+  const auto fast = sc::chs_reconstruct(op, meas, opts);
+
+  EXPECT_FALSE(dense.support.empty());
+  EXPECT_EQ(fast.support, dense.support);
+  EXPECT_LE(max_abs_diff(fast.reconstruction, dense.reconstruction), 1e-9);
+}
+
+TEST(ChsOperator, MatchesDenseBasis1dLinearInterpolation) {
+  const std::size_t n = 96;
+  const auto basis = sl::dct_basis(n);
+  sl::Rng rng(105);
+  sl::Vector alpha(n, 0.0);
+  for (std::size_t j : rng.sample_without_replacement(n / 4, 5)) {
+    alpha[j] = rng.uniform(1.0, 2.0);
+  }
+  const auto x = sl::synthesize(basis, alpha);
+  auto meas = sc::measure_exact(x, sc::MeasurementPlan::random(n, 36, rng));
+
+  sc::ChsOptions opts;
+  opts.max_support = 10;
+  opts.interpolation = sc::Interpolation::kLinear;
+  const auto dense = sc::chs_reconstruct(basis, meas, opts);
+  sl::SubsampledDctOperator op(n, {});
+  const auto fast = sc::chs_reconstruct(op, meas, opts);
+
+  EXPECT_FALSE(dense.support.empty());
+  EXPECT_EQ(fast.support, dense.support);
+  EXPECT_LE(max_abs_diff(fast.reconstruction, dense.reconstruction), 1e-9);
+}
+
 TEST(ChsOperator, ValidatesNonSquareOperator) {
   sl::Rng rng(102);
   const std::size_t n = 32;

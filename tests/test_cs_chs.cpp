@@ -2,7 +2,10 @@
 // error decomposition of Section 4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 #include "cs/chs.h"
@@ -10,6 +13,7 @@
 #include "linalg/basis.h"
 #include "linalg/random.h"
 #include "linalg/vector_ops.h"
+#include "support/upsilon_oracle.h"
 
 namespace sc = sensedroid::cs;
 namespace sl = sensedroid::linalg;
@@ -25,6 +29,41 @@ sl::Vector sparse_dct_signal(std::size_t n, std::size_t k, sl::Rng& rng,
     alpha[j] = rng.uniform(1.0, 3.0) * (rng.bernoulli(0.5) ? 1.0 : -1.0);
   }
   return sl::synthesize(basis, alpha);
+}
+
+// True when some grid point has two samples at its smallest distance
+// (Euclidean on the column-stacked grid when height > 0, |g - l| else),
+// so Upsilon's tie rule decides which sample it picks.
+bool has_equidistant_nearest(const std::vector<std::size_t>& loc,
+                             std::size_t n, std::size_t height) {
+  for (std::size_t g = 0; g < n; ++g) {
+    std::size_t best = SIZE_MAX, count = 0;
+    for (const std::size_t l : loc) {
+      std::size_t d2;
+      if (height == 0) {
+        d2 = l > g ? l - g : g - l;
+      } else {
+        const std::size_t di = std::max(l % height, g % height) -
+                               std::min(l % height, g % height);
+        const std::size_t dj = std::max(l / height, g / height) -
+                               std::min(l / height, g / height);
+        d2 = di * di + dj * dj;
+      }
+      if (d2 < best) {
+        best = d2;
+        count = 1;
+      } else if (d2 == best) {
+        ++count;
+      }
+    }
+    if (count > 1) return true;
+  }
+  return false;
+}
+
+bool same_bits(const sl::Vector& a, const sl::Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 }  // namespace
@@ -76,6 +115,108 @@ TEST(Interpolation, ValidatesSizes) {
   EXPECT_THROW(
       sc::interpolate_to_grid(v, loc, 5, sc::Interpolation::kLinear),
       std::invalid_argument);
+}
+
+TEST(Interpolation, RejectsOutOfRangeLocation) {
+  const sl::Vector v{1.0, 2.0};
+  const std::vector<std::size_t> loc{1, 5};  // 5 is off a 5-point grid
+  for (const auto kind : {sc::Interpolation::kZeroFill,
+                          sc::Interpolation::kNearest,
+                          sc::Interpolation::kLinear}) {
+    EXPECT_THROW(sc::interpolate_to_grid(v, loc, 5, kind),
+                 std::invalid_argument);
+    // 4x4 grid: location 16 would be column 4 of a 4-column field.
+    const std::vector<std::size_t> loc2d{3, 16};
+    EXPECT_THROW(sc::interpolate_to_grid_2d(v, loc2d, 16, 4, kind),
+                 std::invalid_argument);
+  }
+}
+
+TEST(Interpolation, RejectsUnsortedLocations) {
+  const sl::Vector v{1.0, 2.0};
+  for (const auto& loc : {std::vector<std::size_t>{3, 1},
+                          std::vector<std::size_t>{2, 2}}) {
+    for (const auto kind : {sc::Interpolation::kZeroFill,
+                            sc::Interpolation::kNearest,
+                            sc::Interpolation::kLinear}) {
+      EXPECT_THROW(sc::interpolate_to_grid(v, loc, 5, kind),
+                   std::invalid_argument);
+      EXPECT_THROW(sc::interpolate_to_grid_2d(v, loc, 16, 4, kind),
+                   std::invalid_argument);
+    }
+  }
+}
+
+// Differential check of the stencil against the from-scratch Upsilon
+// kept in test support: every seeded draw must match bit for bit, for
+// all kinds, 1-D and 2-D, degenerate sample counts and grid shapes, and
+// grid points equidistant from several samples.  Each stencil is applied
+// to several value vectors, as CHS applies it to every residual.
+TEST(Interpolation, StencilMatchesOracleBitForBit) {
+  namespace ts = sensedroid::test_support;
+  constexpr int kDraws = 1200;
+  sl::Rng rng(20240517);
+  std::size_t m_one = 0, m_small = 0, m_full = 0;
+  std::size_t height_one = 0, height_n = 0, non_square = 0, ties = 0;
+  for (int d = 0; d < kDraws; ++d) {
+    const bool two_d = rng.bernoulli(0.5);
+    std::size_t n = 0, height = 0;
+    if (two_d) {
+      const std::size_t width = 1 + rng.uniform_index(12);
+      height = 1 + rng.uniform_index(12);
+      n = width * height;
+      height_one += height == 1;
+      height_n += width == 1;
+      non_square += width != height;
+    } else {
+      n = 1 + rng.uniform_index(64);
+    }
+    std::size_t m = 0;
+    switch (rng.uniform_index(4)) {
+      case 0: m = 1; break;
+      case 1: m = 1 + rng.uniform_index(std::min<std::size_t>(n, 3)); break;
+      case 2: m = n; break;
+      default: m = 1 + rng.uniform_index(n); break;
+    }
+    m_one += m == 1;
+    m_small += m < 4;
+    m_full += m == n;
+    const auto loc = rng.sample_without_replacement(n, m);
+    const auto kind = static_cast<sc::Interpolation>(rng.uniform_index(3));
+    if (kind != sc::Interpolation::kZeroFill) {
+      ties += has_equidistant_nearest(loc, n, height);
+    }
+
+    const sc::Upsilon upsilon(loc, n, height, kind);
+    for (int rep = 0; rep < 3; ++rep) {
+      sl::Vector v(m);
+      for (double& x : v) {
+        // Small integers and signed zeros, then two scales of gaussians.
+        x = rep == 0 ? std::copysign(static_cast<double>(rng.uniform_index(3)),
+                                     rng.bernoulli(0.5) ? 1.0 : -1.0)
+                     : rng.gaussian(0.0, rep == 1 ? 1.0 : 1e3);
+      }
+      const auto want =
+          two_d ? ts::oracle_interpolate_to_grid_2d(v, loc, n, height, kind)
+                : ts::oracle_interpolate_to_grid(v, loc, n, kind);
+      const auto got = upsilon.apply(v);
+      const auto wrapped =
+          two_d ? sc::interpolate_to_grid_2d(v, loc, n, height, kind)
+                : sc::interpolate_to_grid(v, loc, n, kind);
+      ASSERT_TRUE(same_bits(got, want))
+          << "draw " << d << " rep " << rep << " n=" << n << " m=" << m
+          << " height=" << height << " kind=" << static_cast<int>(kind);
+      ASSERT_TRUE(same_bits(wrapped, want)) << "draw " << d;
+    }
+  }
+  // The draws reach every case the stencil special-cases.
+  EXPECT_GT(m_one, 0u);
+  EXPECT_GT(m_small, 0u);
+  EXPECT_GT(m_full, 0u);
+  EXPECT_GT(height_one, 0u);
+  EXPECT_GT(height_n, 0u);
+  EXPECT_GT(non_square, 0u);
+  EXPECT_GT(ties, 0u);
 }
 
 // --------------------------------------------------------------- CHS ----
