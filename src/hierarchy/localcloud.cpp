@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -25,10 +28,22 @@ LocalCloud::LocalCloud(const field::SpatialField& truth,
   for (std::size_t id = 0; id < grid.zone_count(); ++id) {
     zone_truths_.push_back(grid.extract(truth, id));
   }
+  // One immutable analytic basis per zone shape, read by every zone of
+  // that shape.  The config is the same for every zone, so the shape is
+  // the whole key; kinds a zone must build itself come back null.
+  std::map<std::pair<std::size_t, std::size_t>,
+           std::shared_ptr<const linalg::Matrix>>
+      bases;
   for (std::size_t id = 0; id < grid.zone_count(); ++id) {
+    const field::SpatialField& zone = zone_truths_[id];
+    const auto key = std::make_pair(zone.width(), zone.height());
+    auto it = bases.find(key);
+    if (it == bases.end()) {
+      it = bases.emplace(key, shared_zone_basis(zone, nc_config)).first;
+    }
     NanoCloudConfig zone_config = nc_config;
     zone_config.zone_id = static_cast<std::uint32_t>(id);
-    clouds_.emplace_back(zone_truths_[id], zone_config, rng);
+    clouds_.emplace_back(zone, zone_config, rng, it->second);
   }
 }
 

@@ -17,26 +17,32 @@ namespace {
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 constexpr middleware::NodeId kBrokerId = 1'000'000;
 
-// The zone basis, dense form.  fast_operator mode keeps the matrix
-// empty but must consume the exact same rng draws as the dense branch
-// it replaces, so a campaign toggling the flag sees identical node
-// layouts, tiers, and noise streams downstream.
-linalg::Matrix make_zone_basis(const field::SpatialField& truth,
-                               const NanoCloudConfig& config, Rng& rng) {
-  if (config.fast_operator) {
-    if (config.basis != linalg::BasisKind::kDct) {
-      throw std::invalid_argument(
-          "NanoCloud: fast_operator requires the DCT basis");
-    }
-    if (!config.separable_2d) {
-      (void)rng.next_u64();  // make_basis would have drawn the seed
-    }
-    return linalg::Matrix();
+// The zone basis, dense form; null in fast_operator mode.  Every branch
+// consumes the same rng draws — one basis seed unless the basis is the
+// separable 2-D DCT — so a campaign toggling fast_operator, or sharing
+// the basis across zones, sees identical node layouts, tiers, and noise
+// streams downstream.
+std::shared_ptr<const linalg::Matrix> make_zone_basis(
+    const field::SpatialField& truth, const NanoCloudConfig& config, Rng& rng,
+    std::shared_ptr<const linalg::Matrix> shared) {
+  if (config.fast_operator && config.basis != linalg::BasisKind::kDct) {
+    throw std::invalid_argument(
+        "NanoCloud: fast_operator requires the DCT basis");
   }
-  return config.basis == linalg::BasisKind::kDct && config.separable_2d
-             ? linalg::dct2_basis(truth.width(), truth.height())
-             : linalg::make_basis(config.basis, truth.size(),
-                                  rng.next_u64());
+  const bool separable =
+      config.basis == linalg::BasisKind::kDct && config.separable_2d;
+  const std::uint64_t seed = separable ? 0 : rng.next_u64();
+  if (config.fast_operator) return nullptr;
+  if (shared != nullptr) {
+    if (shared->rows() != truth.size() || shared->cols() != truth.size()) {
+      throw std::invalid_argument(
+          "NanoCloud: shared basis does not match the zone size");
+    }
+    return shared;
+  }
+  return std::make_shared<const linalg::Matrix>(
+      separable ? linalg::dct2_basis(truth.width(), truth.height())
+                : linalg::make_basis(config.basis, truth.size(), seed));
 }
 
 std::unique_ptr<linalg::LinearOperator> make_zone_operator(
@@ -52,14 +58,36 @@ std::unique_ptr<linalg::LinearOperator> make_zone_operator(
 
 }  // namespace
 
+std::shared_ptr<const linalg::Matrix> shared_zone_basis(
+    const field::SpatialField& zone, const NanoCloudConfig& config) {
+  if (config.fast_operator) return nullptr;
+  switch (config.basis) {
+    case linalg::BasisKind::kDct:
+      if (config.separable_2d) {
+        return std::make_shared<const linalg::Matrix>(
+            linalg::dct2_basis(zone.width(), zone.height()));
+      }
+      [[fallthrough]];
+    case linalg::BasisKind::kHaar:
+    case linalg::BasisKind::kIdentity:
+      return std::make_shared<const linalg::Matrix>(
+          linalg::make_basis(config.basis, zone.size()));
+    case linalg::BasisKind::kGaussian:
+    case linalg::BasisKind::kPca:
+      break;
+  }
+  return nullptr;
+}
+
 NanoCloud::NanoCloud(const field::SpatialField& truth,
-                     const NanoCloudConfig& config, Rng& rng)
+                     const NanoCloudConfig& config, Rng& rng,
+                     std::shared_ptr<const linalg::Matrix> shared_basis)
     : truth_(&truth),
       config_(config),
       broker_(kBrokerId,
               {truth.width() * config.cell_m / 2.0,
                truth.height() * config.cell_m / 2.0}),
-      basis_(make_zone_basis(truth, config, rng)),
+      basis_(make_zone_basis(truth, config, rng, std::move(shared_basis))),
       basis_op_(make_zone_operator(truth, config)) {
   if (config_.basis == linalg::BasisKind::kDct && config_.separable_2d) {
     config_.chs.grid_height = truth.height();
@@ -318,7 +346,7 @@ GatherResult NanoCloud::reconstruct_readings(
   if (compressive) {
     const auto res = basis_op_ != nullptr
                          ? cs::chs_reconstruct(*basis_op_, meas, config_.chs)
-                         : cs::chs_reconstruct(basis_, meas, config_.chs);
+                         : cs::chs_reconstruct(*basis_, meas, config_.chs);
     full = res.reconstruction;
     out.support_size = res.support.size();
     out.outliers_rejected = res.outliers_rejected;
@@ -357,7 +385,7 @@ double NanoCloud::total_node_energy_j() const noexcept {
 std::size_t NanoCloud::basis_state_bytes() const noexcept {
   return basis_op_ != nullptr
              ? basis_op_->state_bytes()
-             : basis_.rows() * basis_.cols() * sizeof(double);
+             : basis_->rows() * basis_->cols() * sizeof(double);
 }
 
 }  // namespace sensedroid::hierarchy

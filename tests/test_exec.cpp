@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -608,6 +609,38 @@ TEST(ParallelCampaign, ValidatesZoneDecisions) {
   std::vector<sh::ZoneDecision> dup(4);
   for (std::size_t i = 0; i < 4; ++i) dup[i].zone_id = 0;  // duplicate ids
   EXPECT_THROW(runner.run_round(dup, rng), std::invalid_argument);
+}
+
+// Every zone of one shape reads one shared basis matrix, so N workers
+// read it concurrently.  The rounds must still equal one worker's bit
+// for bit (test_exec_tsan runs this under ThreadSanitizer).
+TEST(ParallelCampaign, ZonesReadTheirSharedBasisConcurrently) {
+  sl::Rng field_rng(21);
+  const auto truth = sf::random_plume_field(20, 16, 3, field_rng, 20.0);
+  const sf::ZoneGrid grid(20, 16, 2, 3);  // zones of 6x8 and 8x8
+  sh::NanoCloudConfig cfg;
+  cfg.coverage = 1.0;
+  const auto run = [&](std::size_t workers) {
+    sl::Rng rng(4);
+    sh::LocalCloud cloud(truth, grid, cfg, rng);
+    EXPECT_EQ(cloud.nanocloud(0).basis(), cloud.nanocloud(1).basis());
+    EXPECT_EQ(cloud.nanocloud(0).basis(), cloud.nanocloud(4).basis());
+    se::ThreadPool pool(workers);
+    se::ParallelCampaignRunner runner(cloud, pool);
+    std::vector<double> out;
+    for (int round = 0; round < 3; ++round) {
+      const auto res = runner.run_round_uniform(24, rng);
+      const auto flat = res.reconstruction.flat();
+      out.insert(out.end(), flat.begin(), flat.end());
+      out.push_back(res.nrmse);
+    }
+    return out;
+  };
+  const std::vector<double> one = run(1);
+  const std::vector<double> four = run(4);
+  ASSERT_EQ(one.size(), four.size());
+  EXPECT_EQ(0, std::memcmp(one.data(), four.data(),
+                           one.size() * sizeof(double)));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "baselines/cdg_luo.h"
@@ -328,6 +329,182 @@ TEST(Baselines, CollaborationValidates) {
   sb::CollaborationScenario s;
   s.n_users = 0;
   EXPECT_THROW(sb::compare_collaboration(s), std::invalid_argument);
+}
+
+// ------------------------------------------------- shared zone bases ----
+
+namespace {
+
+// 20 x 16 in 2 x 3 zones: the last zone column absorbs the remainder,
+// so the grid holds two shapes (6 x 8 and 8 x 8).
+constexpr std::size_t kSharedW = 20, kSharedH = 16;
+
+sf::SpatialField shared_truth(std::size_t w, std::size_t h) {
+  sl::Rng rng(11);
+  return sf::random_plume_field(w, h, 3, rng, 20.0);
+}
+
+void expect_same_bits(const sh::GatherResult& a, const sh::GatherResult& b) {
+  const auto fa = a.reconstruction.flat();
+  const auto fb = b.reconstruction.flat();
+  ASSERT_EQ(fa.size(), fb.size());
+  EXPECT_EQ(0, std::memcmp(fa.data(), fb.data(), fa.size() * sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(&a.nrmse, &b.nrmse, sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(&a.node_energy_j, &b.node_energy_j,
+                           sizeof(double)));
+  EXPECT_EQ(a.m_used, b.m_used);
+  EXPECT_EQ(a.support_size, b.support_size);
+}
+
+// A LocalCloud (shared bases) and standalone NanoClouds built from the
+// same Rng sequence (each with its own basis) must lay out the same
+// phones and gather the same bits, round after round.
+void expect_localcloud_matches_standalone(const sh::NanoCloudConfig& cfg,
+                                          std::size_t w, std::size_t h,
+                                          const sf::ZoneGrid& grid) {
+  const auto truth = shared_truth(w, h);
+  sl::Rng rng_a(5);
+  sh::LocalCloud cloud(truth, grid, cfg, rng_a);
+
+  sl::Rng rng_b(5);
+  std::vector<sf::SpatialField> zones;
+  zones.reserve(grid.zone_count());
+  for (std::size_t id = 0; id < grid.zone_count(); ++id) {
+    zones.push_back(grid.extract(truth, id));
+  }
+  std::vector<sh::NanoCloud> solo;
+  solo.reserve(grid.zone_count());
+  for (std::size_t id = 0; id < grid.zone_count(); ++id) {
+    sh::NanoCloudConfig zone_cfg = cfg;
+    zone_cfg.zone_id = static_cast<std::uint32_t>(id);
+    solo.emplace_back(zones[id], zone_cfg, rng_b);
+  }
+  EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());  // same draws consumed
+
+  for (std::size_t id = 0; id < grid.zone_count(); ++id) {
+    SCOPED_TRACE(id);
+    sh::NanoCloud& shared = cloud.nanocloud(id);
+    ASSERT_EQ(shared.node_count(), solo[id].node_count());
+    for (std::size_t i = 0; i < shared.node_count(); ++i) {
+      const auto pa = shared.node(i).position();
+      const auto pb = solo[id].node(i).position();
+      EXPECT_EQ(0, std::memcmp(&pa, &pb, sizeof(pa)));
+    }
+    if (shared.basis() != nullptr) {
+      ASSERT_NE(solo[id].basis(), nullptr);
+      const sl::Matrix& ba = *shared.basis();
+      const sl::Matrix& bb = *solo[id].basis();
+      ASSERT_EQ(ba.rows(), bb.rows());
+      EXPECT_EQ(0, std::memcmp(ba.data().data(), bb.data().data(),
+                               ba.rows() * ba.cols() * sizeof(double)));
+    }
+  }
+
+  // Round 1 zone by zone, round 2 through the round engine.
+  std::vector<sl::Rng> forks_a, forks_b;
+  for (std::size_t id = 0; id < grid.zone_count(); ++id) {
+    forks_a.push_back(rng_a.fork());
+    forks_b.push_back(rng_b.fork());
+  }
+  for (std::size_t id = 0; id < grid.zone_count(); ++id) {
+    SCOPED_TRACE(id);
+    expect_same_bits(cloud.nanocloud(id).gather(20, forks_a[id]),
+                     solo[id].gather(20, forks_b[id]));
+  }
+  const sh::RegionalResult regional = cloud.gather_uniform(20, rng_a);
+  sf::SpatialField stitched(w, h);
+  forks_b.clear();
+  for (std::size_t id = 0; id < grid.zone_count(); ++id) {
+    forks_b.push_back(rng_b.fork());
+  }
+  for (std::size_t id = 0; id < grid.zone_count(); ++id) {
+    const sh::GatherResult res = solo[id].gather(20, forks_b[id]);
+    EXPECT_EQ(0, std::memcmp(&res.nrmse, &regional.zone_nrmse[id],
+                             sizeof(double)));
+    grid.insert(stitched, id, res.reconstruction);
+  }
+  const auto fa = regional.reconstruction.flat();
+  const auto fb = stitched.flat();
+  EXPECT_EQ(0, std::memcmp(fa.data(), fb.data(), fa.size() * sizeof(double)));
+}
+
+}  // namespace
+
+TEST(LocalCloud, ZonesOfOneShapeShareOneBasis) {
+  const auto truth = shared_truth(kSharedW, kSharedH);
+  const sf::ZoneGrid grid(kSharedW, kSharedH, 2, 3);
+  sh::NanoCloudConfig cfg;
+  cfg.coverage = 1.0;
+  sl::Rng rng(3);
+  sh::LocalCloud cloud(truth, grid, cfg, rng);
+  for (std::size_t a = 0; a < cloud.zone_count(); ++a) {
+    for (std::size_t b = 0; b < cloud.zone_count(); ++b) {
+      const auto& za = grid.zone(a);
+      const auto& zb = grid.zone(b);
+      const bool same_shape =
+          za.width == zb.width && za.height == zb.height;
+      ASSERT_NE(cloud.nanocloud(a).basis(), nullptr);
+      EXPECT_EQ(same_shape,
+                cloud.nanocloud(a).basis() == cloud.nanocloud(b).basis())
+          << a << " vs " << b;
+    }
+  }
+  EXPECT_NE(grid.zone(0).width, grid.zone(2).width);  // two shapes exist
+
+  // Seeded bases stay per zone.
+  cfg.basis = sl::BasisKind::kGaussian;
+  sh::LocalCloud gaussian(truth, grid, cfg, rng);
+  for (std::size_t a = 0; a < gaussian.zone_count(); ++a) {
+    ASSERT_NE(gaussian.nanocloud(a).basis(), nullptr);
+    for (std::size_t b = a + 1; b < gaussian.zone_count(); ++b) {
+      EXPECT_NE(gaussian.nanocloud(a).basis(), gaussian.nanocloud(b).basis());
+    }
+  }
+}
+
+TEST(LocalCloud, SharedBasisMatchesStandaloneNanoCloudsForEveryKind) {
+  const sf::ZoneGrid two_shapes(kSharedW, kSharedH, 2, 3);
+  const sf::ZoneGrid pow2(16, 16, 2, 2);  // Haar needs 2^k cells
+  sh::NanoCloudConfig cfg;
+  cfg.coverage = 0.9;
+  struct Case {
+    sl::BasisKind kind;
+    bool separable;
+  };
+  for (const Case c : {Case{sl::BasisKind::kDct, true},
+                       Case{sl::BasisKind::kDct, false},
+                       Case{sl::BasisKind::kIdentity, true},
+                       Case{sl::BasisKind::kIdentity, false},
+                       Case{sl::BasisKind::kHaar, true},
+                       Case{sl::BasisKind::kHaar, false},
+                       Case{sl::BasisKind::kGaussian, true},
+                       Case{sl::BasisKind::kGaussian, false}}) {
+    SCOPED_TRACE(sl::to_string(c.kind) + (c.separable ? " 2-D" : " 1-D"));
+    cfg.basis = c.kind;
+    cfg.separable_2d = c.separable;
+    if (c.kind == sl::BasisKind::kHaar) {
+      expect_localcloud_matches_standalone(cfg, 16, 16, pow2);
+    } else {
+      expect_localcloud_matches_standalone(cfg, kSharedW, kSharedH,
+                                           two_shapes);
+    }
+  }
+  // PCA needs traces, so neither path can build it.
+  cfg.basis = sl::BasisKind::kPca;
+  const auto truth = shared_truth(kSharedW, kSharedH);
+  sl::Rng rng(5);
+  EXPECT_THROW(sh::LocalCloud(truth, two_shapes, cfg, rng),
+               std::invalid_argument);
+  const auto zone = two_shapes.extract(truth, 0);
+  EXPECT_THROW(sh::NanoCloud(zone, cfg, rng), std::invalid_argument);
+}
+
+TEST(NanoCloud, RejectsASharedBasisOfTheWrongSize) {
+  const auto zone = smooth_zone(8, 8, 9);
+  sh::NanoCloudConfig cfg;
+  sl::Rng rng(1);
+  const auto other = sh::shared_zone_basis(smooth_zone(4, 4, 9), cfg);
+  EXPECT_THROW(sh::NanoCloud(zone, cfg, rng, other), std::invalid_argument);
 }
 
 // --------------------------------------------------- E2E integration ----
