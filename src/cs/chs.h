@@ -49,8 +49,10 @@ struct ChsOptions {
   /// Registry name of the step-(e) coefficient solver
   /// (SolverRegistry::global()): "ols" (eq. 11, homogeneous sensors),
   /// "gls" (eq. 12, weighted by the measurement's noise model, which must
-  /// then have one entry per measurement), or any registered name.  The
-  /// rank-deficiency fallback to "ridge" applies regardless of choice.
+  /// then have one entry per measurement), or any registered name.
+  /// "ols" and "gls" refits reuse one incremental factorization across
+  /// iterations (cs::CachedRefit); any other name refits from scratch.
+  /// The rank-deficiency fallback to "ridge" applies regardless of choice.
   std::string refit_solver = "ols";
   /// Significance threshold: a coefficient is eligible when its magnitude
   /// is at least this fraction of the current largest one.

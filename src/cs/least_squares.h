@@ -4,9 +4,12 @@
 //            covariance V for heterogeneous phone populations.
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <span>
 
 #include "linalg/matrix.h"
+#include "linalg/updatable_qr.h"
 
 namespace sensedroid::cs {
 
@@ -30,6 +33,50 @@ Vector solve_gls(const Matrix& a, std::span<const double> y, const Matrix& v);
 /// get the highest finite weight) to keep the weighting well-defined.
 Vector solve_gls_diag(const Matrix& a, std::span<const double> y,
                       std::span<const double> stddev);
+
+/// Row weights of the diagonal GLS whitening: w_i = 1 / stddev_i, with
+/// zero stddevs clamped to the smallest positive one (exact sensors get
+/// the highest finite weight).  Empty when no stddev is positive — GLS
+/// then degenerates to OLS.  solve_gls_diag weights by exactly these.
+Vector gls_row_weights(std::span<const double> stddev);
+
+/// The cached refit of CHS step (e): OLS (eq. 11), or diagonal GLS
+/// (eq. 12) as OLS on whitened rows, over supports drawn from one fixed
+/// M x N dictionary.  The row weights and the whitened y are formed once
+/// at construction.  Each support column is whitened as the incremental
+/// factorization (linalg::SupportQrCache) appends it, so no whitened copy
+/// of the dictionary exists, and successive supports that share a prefix
+/// reuse its factors.  Agrees with solve_gls_diag / solve_ols to rounding
+/// (a prefix-updated CGS2 QR rounds differently from Householder).  Not
+/// copyable: the cache reads the weights through `this`.
+class CachedRefit {
+ public:
+  /// `column` supplies dictionary column j (length y.size()).  An empty
+  /// `stddev` selects OLS; otherwise it holds one stddev per row and
+  /// selects GLS weighted by gls_row_weights(stddev).  `capacity` columns
+  /// are preallocated.  Throws std::invalid_argument when stddev is
+  /// neither empty nor one per row.
+  CachedRefit(std::span<const double> y, std::span<const double> stddev,
+              std::size_t capacity, linalg::SupportQrCache::ColumnFn column);
+  CachedRefit(const CachedRefit&) = delete;
+  CachedRefit& operator=(const CachedRefit&) = delete;
+
+  /// Least-squares coefficients on `support`, in its order; nullopt when
+  /// one of its columns is numerically dependent on the ones before it,
+  /// and the caller falls back to a dense solve.
+  std::optional<Vector> solve(std::span<const std::size_t> support);
+
+  /// Columns the last solve() reused from the previous factorization.
+  std::size_t reused_columns() const noexcept {
+    return cache_.reused_columns();
+  }
+
+ private:
+  Vector weights_;  // empty: OLS
+  Vector wy_;       // y, whitened
+  linalg::SupportQrCache::ColumnFn column_;
+  linalg::SupportQrCache cache_;
+};
 
 /// Ridge-regularized least squares (A^T A + lambda I)^{-1} A^T y; the
 /// fallback brokers use when Phi~_K is too ill-conditioned for plain OLS

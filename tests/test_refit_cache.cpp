@@ -1,0 +1,399 @@
+// Cached vs fresh step-(e) refit.  CHS refits OLS and diagonal GLS
+// through one incremental factorization (cs::CachedRefit): the row
+// weights and the whitened y are formed once per solve, and each support
+// column is whitened as the cache appends it.  A prefix-updated CGS2 QR
+// rounds differently from a fresh Householder QR, so the contract is a
+// tolerance: coefficients within 1e-10 relative of solve_gls_diag /
+// solve_ols over seeded supports, with columns read the way the dense
+// and the operator CHS views read them.  The fallbacks must still
+// engage: a dependent column leaves the cache for the registry solver
+// and then ridge, and a MAD-screened solve weights by the screened
+// noise model.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <memory>
+#include <optional>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "cs/chs.h"
+#include "cs/least_squares.h"
+#include "cs/measurement.h"
+#include "cs/solver.h"
+#include "linalg/basis.h"
+#include "linalg/operator.h"
+#include "linalg/random.h"
+
+namespace sc = sensedroid::cs;
+namespace sl = sensedroid::linalg;
+
+namespace {
+
+using sl::Matrix;
+using sl::Vector;
+
+constexpr double kRelTol = 1e-10;
+
+double rel_err(const Vector& got, const Vector& want) {
+  EXPECT_EQ(got.size(), want.size());
+  double num = 0.0, den = 0.0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    num += (got[i] - want[i]) * (got[i] - want[i]);
+    den += want[i] * want[i];
+  }
+  return std::sqrt(num) / std::max(std::sqrt(den), 1e-300);
+}
+
+// The fresh reference for one support: Householder QR on the selected
+// (and, for GLS, whitened) columns, exactly what the registry's "ols" and
+// "gls" solvers run.
+Vector fresh_refit(const Matrix& phi_rows,
+                   const std::vector<std::size_t>& support,
+                   std::span<const double> y,
+                   std::span<const double> stddev) {
+  const Matrix phi_k = phi_rows.select_cols(support);
+  return stddev.empty() ? sc::solve_ols(phi_k, y)
+                        : sc::solve_gls_diag(phi_k, y, stddev);
+}
+
+// How a draw's noise model looks.
+enum class Noise { kOls, kPositive, kSomeZero, kAllZero, kTiers };
+
+Vector draw_sigma(Noise noise, std::size_t m, sl::Rng& rng) {
+  if (noise == Noise::kOls) return {};
+  Vector s(m);
+  for (double& v : s) {
+    switch (noise) {
+      case Noise::kOls:
+        break;
+      case Noise::kPositive:
+        v = rng.uniform(0.05, 2.0);
+        break;
+      case Noise::kSomeZero:
+        v = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.05, 2.0);
+        break;
+      case Noise::kAllZero:
+        v = 0.0;
+        break;
+      case Noise::kTiers: {
+        constexpr double kTier[] = {0.1, 0.5, 1.5};  // phone quality tiers
+        v = kTier[rng.uniform_index(3)];
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+// Sorted insertion of `extra` into `support`, as CHS grows J.
+void grow(std::vector<std::size_t>& support,
+          const std::vector<std::size_t>& extra) {
+  support.insert(support.end(), extra.begin(), extra.end());
+  std::sort(support.begin(), support.end());
+}
+
+TEST(CachedRefit, MatchesFreshRefitOverSeededSupports) {
+  constexpr std::size_t kDraws = 1200;
+  std::size_t compared = 0, operator_compared = 0, weighted_compared = 0;
+  double worst = 0.0;
+  for (std::size_t draw = 0; draw < kDraws; ++draw) {
+    SCOPED_TRACE("draw " + std::to_string(draw));
+    sl::Rng rng(0x5eed0000 + draw);
+    const bool operator_mode = draw % 2 == 1;
+    const std::size_t width = 3 + rng.uniform_index(8);   // 3..10
+    const std::size_t height = 3 + rng.uniform_index(6);  // 3..8
+    const std::size_t n = width * height;
+    const bool two_d = rng.bernoulli(0.5);
+
+    // Dense twin of the dictionary; in operator mode the cache reads the
+    // operator's closed-form columns instead, which match it bit for bit.
+    Matrix basis;
+    std::unique_ptr<sl::SubsampledDctOperator> op;
+    if (operator_mode) {
+      basis = two_d ? sl::dct2_basis(width, height) : sl::dct_basis(n);
+      op = two_d ? std::make_unique<sl::SubsampledDctOperator>(
+                       width, height, std::vector<std::size_t>{})
+                 : std::make_unique<sl::SubsampledDctOperator>(
+                       n, std::vector<std::size_t>{});
+    } else {
+      switch (rng.uniform_index(3)) {
+        case 0:
+          basis = sl::dct2_basis(width, height);
+          break;
+        case 1:
+          basis = sl::dct_basis(n);
+          break;
+        default:
+          basis = sl::gaussian_basis(n, rng.next_u64());
+          break;
+      }
+    }
+    const std::size_t m = std::max<std::size_t>(8, n / 3) +
+                          rng.uniform_index(n - std::max<std::size_t>(8, n / 3) + 1);
+    std::vector<std::size_t> locations = rng.sample_without_replacement(n, m);
+    std::sort(locations.begin(), locations.end());
+    const Matrix phi_rows = basis.select_rows(locations);
+    const Vector y = rng.gaussian_vector(m);
+    const auto noise = static_cast<Noise>(draw / 2 % 5);
+    const Vector sigma = draw_sigma(noise, m, rng);
+
+    sl::SupportQrCache::ColumnFn column;
+    if (operator_mode) {
+      column = [&op, &locations, buf = Vector(n)](
+                   std::size_t j, std::span<double> out) mutable {
+        op->column_into(j, buf);
+        for (std::size_t i = 0; i < locations.size(); ++i) {
+          out[i] = buf[locations[i]];
+        }
+      };
+    } else {
+      column = [&phi_rows](std::size_t j, std::span<double> out) {
+        phi_rows.col_into(j, out);
+      };
+    }
+    const std::size_t k_max = std::min<std::size_t>(12, m / 2);
+    sc::CachedRefit cached(y, sigma, k_max, column);
+
+    // A CHS-like support trajectory: batches of 1-4 new atoms, each
+    // refit, with an occasional rollback of the last batch.
+    std::vector<bool> used(n, false);
+    std::vector<std::size_t> support;
+    while (support.size() < k_max) {
+      const std::size_t take =
+          std::min(k_max - support.size(), 1 + rng.uniform_index(4));
+      std::vector<std::size_t> extra;
+      while (extra.size() < take) {
+        const std::size_t j = rng.uniform_index(n);
+        if (!used[j]) {
+          used[j] = true;
+          extra.push_back(j);
+        }
+      }
+      const std::vector<std::size_t> before = support;
+      grow(support, extra);
+      std::vector<const std::vector<std::size_t>*> refits = {&support};
+      if (!before.empty() && rng.bernoulli(0.3)) {
+        refits.push_back(&before);  // the batch rolled back
+      }
+      for (const std::vector<std::size_t>* s : refits) {
+        const std::optional<Vector> got = cached.solve(*s);
+        ASSERT_TRUE(got.has_value());
+        const double err = rel_err(*got, fresh_refit(phi_rows, *s, y, sigma));
+        EXPECT_LE(err, kRelTol);
+        worst = std::max(worst, err);
+        ++compared;
+        if (operator_mode) ++operator_compared;
+        if (noise != Noise::kOls && noise != Noise::kAllZero) {
+          ++weighted_compared;
+        }
+      }
+    }
+  }
+  EXPECT_GE(operator_compared, 1200u);
+  EXPECT_GE(weighted_compared, 1200u);
+  EXPECT_GE(compared, 3000u);
+  char worst_text[32];
+  std::snprintf(worst_text, sizeof worst_text, "%.3g", worst);
+  RecordProperty("worst_rel_err", worst_text);
+}
+
+TEST(CachedRefit, AllZeroNoiseIsTheOlsPath) {
+  sl::Rng rng(71);
+  const Matrix basis = sl::dct2_basis(8, 6);
+  std::vector<std::size_t> locations = rng.sample_without_replacement(48, 20);
+  std::sort(locations.begin(), locations.end());
+  const Matrix phi_rows = basis.select_rows(locations);
+  const Vector y = rng.gaussian_vector(20);
+  const auto column = [&phi_rows](std::size_t j, std::span<double> out) {
+    phi_rows.col_into(j, out);
+  };
+  const Vector zeros(20, 0.0);
+  EXPECT_TRUE(sc::gls_row_weights(zeros).empty());
+  sc::CachedRefit gls(y, zeros, 8, column);
+  sc::CachedRefit ols(y, {}, 8, column);
+  const std::vector<std::size_t> support = {0, 3, 9, 17, 30};
+  const Vector a = *gls.solve(support);
+  const Vector b = *ols.solve(support);
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)));
+  EXPECT_LE(rel_err(a, sc::solve_ols(phi_rows.select_cols(support), y)),
+            kRelTol);
+}
+
+TEST(CachedRefit, ZeroNoiseClampsToTheSmallestPositiveSigma) {
+  const Vector w = sc::gls_row_weights(Vector{0.5, 0.0, 2.0, 0.0});
+  ASSERT_EQ(w.size(), 4u);
+  EXPECT_EQ(w[0], 1.0 / 0.5);
+  EXPECT_EQ(w[1], 1.0 / 0.5);  // exact sensor: the strongest finite weight
+  EXPECT_EQ(w[2], 1.0 / 2.0);
+  EXPECT_EQ(w[3], 1.0 / 0.5);
+  EXPECT_THROW(sc::CachedRefit(Vector(3, 1.0), Vector(2, 1.0), 2,
+                               [](std::size_t, std::span<double>) {}),
+               std::invalid_argument);
+}
+
+TEST(CachedRefit, DependentColumnDeclinesAndTheFreshPathFallsToRidge) {
+  sl::Rng rng(5);
+  Matrix phi_rows(16, 6);
+  for (std::size_t i = 0; i < 16; ++i) {
+    for (std::size_t j = 0; j < 6; ++j) phi_rows(i, j) = rng.gaussian();
+    // Column 4 is column 1 scaled, up to a last-bit perturbation.
+    phi_rows(i, 4) = 2.0 * phi_rows(i, 1) * (1.0 + 1e-15 * rng.gaussian());
+  }
+  const Vector y = rng.gaussian_vector(16);
+  const Vector sigma = draw_sigma(Noise::kSomeZero, 16, rng);
+  sc::CachedRefit cached(y, sigma, 6, [&](std::size_t j, std::span<double> out) {
+    phi_rows.col_into(j, out);
+  });
+  const std::vector<std::size_t> dependent = {0, 1, 4};
+  EXPECT_FALSE(cached.solve(dependent).has_value());
+  // The registry solver declines too, which is what sends CHS to ridge.
+  EXPECT_THROW(fresh_refit(phi_rows, dependent, y, sigma), std::runtime_error);
+  // The cache recovers on the next well-posed support.
+  const std::vector<std::size_t> good = {0, 1, 2, 5};
+  const std::optional<Vector> got = cached.solve(good);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_LE(rel_err(*got, fresh_refit(phi_rows, good, y, sigma)), kRelTol);
+}
+
+// ------------------------------------------------- through chs_reconstruct
+
+// Registry solvers whose names are not "ols"/"gls", so CHS refits them
+// fresh on every support: the pre-cache path, kept as the oracle.
+class FreshRefit final : public sc::SparseSolver {
+ public:
+  explicit FreshRefit(std::string builtin)
+      : builtin_(std::move(builtin)),
+        name_(builtin_ + "_fresh"),
+        inner_(sc::SolverRegistry::global().create(builtin_)) {}
+  std::string_view name() const noexcept override { return name_; }
+  sc::SparseSolution solve(const Matrix& a, std::span<const double> y,
+                           const sc::SolveContext& ctx) const override {
+    return inner_->solve(a, y, ctx);
+  }
+
+ private:
+  std::string builtin_;
+  std::string name_;
+  std::unique_ptr<sc::SparseSolver> inner_;
+};
+
+void register_fresh_solvers() {
+  auto& reg = sc::SolverRegistry::global();
+  for (const char* builtin : {"ols", "gls"}) {
+    const std::string name = std::string(builtin) + "_fresh";
+    if (!reg.contains(name)) {
+      reg.register_solver(name, [b = std::string(builtin)] {
+        return std::make_unique<FreshRefit>(b);
+      });
+    }
+  }
+}
+
+// A smooth zone reading plus phone noise, on a random plan.
+sc::Measurement draw_measurement(std::size_t width, std::size_t height,
+                                 std::size_t m, bool spikes, sl::Rng& rng) {
+  const std::size_t n = width * height;
+  std::vector<std::size_t> locations = rng.sample_without_replacement(n, m);
+  std::sort(locations.begin(), locations.end());
+  const double cx = rng.uniform(0.0, static_cast<double>(width));
+  const double cy = rng.uniform(0.0, static_cast<double>(height));
+  Vector values(m);
+  Vector sigma = draw_sigma(Noise::kTiers, m, rng);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (rng.bernoulli(0.1)) sigma[i] = 0.0;  // an exact sensor
+    const double x = static_cast<double>(locations[i] / height);
+    const double yy = static_cast<double>(locations[i] % height);
+    const double d2 = (x - cx) * (x - cx) + (yy - cy) * (yy - cy);
+    values[i] = 20.0 + 10.0 * std::exp(-d2 / 8.0) + sigma[i] * rng.gaussian();
+    if (spikes && rng.bernoulli(0.1)) values[i] += 80.0;
+  }
+  return sc::Measurement{
+      sc::MeasurementPlan::from_indices(n, std::move(locations)),
+      std::move(values), sc::SensorNoise{std::move(sigma)}};
+}
+
+void expect_refits_agree(const sc::ChsResult& cached,
+                         const sc::ChsResult& fresh) {
+  ASSERT_EQ(cached.support, fresh.support);
+  EXPECT_EQ(cached.outliers_rejected, fresh.outliers_rejected);
+  EXPECT_EQ(cached.iterations, fresh.iterations);
+  EXPECT_LE(rel_err(cached.coefficients, fresh.coefficients), kRelTol);
+  EXPECT_LE(rel_err(cached.reconstruction, fresh.reconstruction), kRelTol);
+}
+
+TEST(CachedRefit, ChsMatchesFreshRefitsInDenseAndOperatorMode) {
+  register_fresh_solvers();
+  std::size_t screened = 0;
+  for (std::size_t draw = 0; draw < 240; ++draw) {
+    SCOPED_TRACE("draw " + std::to_string(draw));
+    sl::Rng rng(0xc4500000 + draw);
+    const std::size_t width = 6 + rng.uniform_index(7);   // 6..12
+    const std::size_t height = 6 + rng.uniform_index(5);  // 6..10
+    const std::size_t n = width * height;
+    const std::size_t m = n / 4 + rng.uniform_index(n / 4);
+    const bool spikes = draw % 3 == 0;
+    const sc::Measurement meas =
+        draw_measurement(width, height, m, spikes, rng);
+
+    sc::ChsOptions opts;
+    opts.interpolation = sc::Interpolation::kLinear;
+    opts.grid_height = height;
+    if (spikes) opts.mad_threshold = 5.0;
+    const Matrix dense = sl::dct2_basis(width, height);
+    const sl::SubsampledDctOperator op(width, height, {});
+    for (const std::string refit : {"gls", "ols"}) {
+      SCOPED_TRACE(refit);
+      sc::ChsOptions fresh = opts;
+      opts.refit_solver = refit;
+      fresh.refit_solver = refit + "_fresh";
+      const sc::ChsResult dense_res = sc::chs_reconstruct(dense, meas, opts);
+      expect_refits_agree(dense_res, sc::chs_reconstruct(dense, meas, fresh));
+      expect_refits_agree(sc::chs_reconstruct(op, meas, opts),
+                          sc::chs_reconstruct(op, meas, fresh));
+      if (dense_res.outliers_rejected > 0) ++screened;
+    }
+  }
+  // Enough screened solves that a GLS refit weighted by the unscreened
+  // noise model (one sigma per *unscreened* reading) would have shown.
+  EXPECT_GE(screened, 60u);
+}
+
+TEST(CachedRefit, ChsWithDuplicateAtomsFallsBackLikeTheFreshPath) {
+  register_fresh_solvers();
+  const std::size_t width = 8, height = 8, n = 64;
+  // The DC atom duplicated into the last column: a plume field's mean
+  // picks both in the first batch, so that support is dependent.
+  Matrix basis = sl::dct2_basis(width, height);
+  for (std::size_t i = 0; i < n; ++i) basis(i, n - 1) = basis(i, 0);
+  for (std::size_t draw = 0; draw < 20; ++draw) {
+    SCOPED_TRACE("draw " + std::to_string(draw));
+    sl::Rng rng(0xd0b1e000 + draw);
+    const sc::Measurement meas = draw_measurement(width, height, 24, false, rng);
+    for (const std::string refit : {"gls", "ols"}) {
+      sc::ChsOptions opts;
+      opts.interpolation = sc::Interpolation::kLinear;
+      opts.grid_height = height;
+      opts.refit_solver = refit;
+      sc::ChsOptions fresh = opts;
+      fresh.refit_solver = refit + "_fresh";
+      const sc::ChsResult got = sc::chs_reconstruct(basis, meas, opts);
+      ASSERT_TRUE(std::binary_search(got.support.begin(), got.support.end(),
+                                     std::size_t{0}));
+      ASSERT_TRUE(std::binary_search(got.support.begin(), got.support.end(),
+                                     n - 1));
+      // Both paths refit the dependent supports by the same ridge solve.
+      const sc::ChsResult want = sc::chs_reconstruct(basis, meas, fresh);
+      ASSERT_EQ(got.support, want.support);
+      EXPECT_LE(rel_err(got.coefficients, want.coefficients), kRelTol);
+    }
+  }
+}
+
+}  // namespace
