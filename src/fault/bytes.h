@@ -11,6 +11,7 @@
 // not a decimal rendering.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -31,16 +32,8 @@ class CodecError : public std::runtime_error {
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
+  void u32(std::uint32_t v) { little_endian<4>(v); }
+  void u64(std::uint64_t v) { little_endian<8>(v); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void bytes(std::span<const std::uint8_t> b) {
@@ -61,6 +54,17 @@ class ByteWriter {
   std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }
 
  private:
+  // The low N bytes of v, least significant first, appended in one
+  // insert.
+  template <std::size_t N>
+  void little_endian(std::uint64_t v) {
+    std::array<std::uint8_t, N> b;
+    for (std::size_t i = 0; i < N; ++i) {
+      b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    buf_.insert(buf_.end(), b.begin(), b.end());
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 

@@ -264,8 +264,11 @@ TEST(Chs, GlsBeatsOlsUnderHeterogeneousNoise) {
     // Wildly heterogeneous phone quality.
     auto noise = sc::SensorNoise::heterogeneous(m, 0.001, 1.0, rng);
     auto meas = sc::measure(x, plan, noise, rng);
-    sc::ChsOptions ols_opts{.max_support = k, .refit_solver = "ols"};
-    sc::ChsOptions gls_opts{.max_support = k, .refit_solver = "gls"};
+    sc::ChsOptions ols_opts;
+    ols_opts.max_support = k;
+    ols_opts.refit_solver = "ols";
+    sc::ChsOptions gls_opts = ols_opts;
+    gls_opts.refit_solver = "gls";
     ols_total += sl::nrmse(sc::chs_reconstruct(basis, meas, ols_opts)
                                .reconstruction, x);
     gls_total += sl::nrmse(sc::chs_reconstruct(basis, meas, gls_opts)
@@ -281,7 +284,9 @@ TEST(Chs, RespectsSupportBudget) {
   auto x = sparse_dct_signal(n, 10, rng, basis);
   auto plan = sc::MeasurementPlan::random(n, m, rng);
   auto meas = sc::measure_exact(x, plan);
-  auto res = sc::chs_reconstruct(basis, meas, {.max_support = 3});
+  sc::ChsOptions opts;
+  opts.max_support = 3;
+  auto res = sc::chs_reconstruct(basis, meas, opts);
   EXPECT_LE(res.support.size(), 3u);
 }
 
@@ -300,7 +305,9 @@ TEST(Chs, SupportIsSortedAndCoefficientsConsistent) {
   std::vector<bool> on(n, false);
   for (auto j : res.support) on[j] = true;
   for (std::size_t j = 0; j < n; ++j) {
-    if (!on[j]) EXPECT_DOUBLE_EQ(res.coefficients[j], 0.0);
+    if (!on[j]) {
+      EXPECT_DOUBLE_EQ(res.coefficients[j], 0.0);
+    }
   }
 }
 
@@ -357,7 +364,9 @@ TEST(Chs, InterpolationChoicesAllRecoverSmoothFields) {
     auto x = sl::synthesize(basis, alpha);
     auto plan = sc::MeasurementPlan::random(n, m, rng);
     auto meas = sc::measure_exact(x, plan);
-    auto res = sc::chs_reconstruct(basis, meas, {.interpolation = kind});
+    sc::ChsOptions opts;
+    opts.interpolation = kind;
+    auto res = sc::chs_reconstruct(basis, meas, opts);
     EXPECT_LT(sl::nrmse(res.reconstruction, x), 0.05)
         << "interpolation kind " << static_cast<int>(kind);
   }

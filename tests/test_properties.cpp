@@ -180,11 +180,15 @@ TEST_P(ChsInvariants, SolutionIsInternallyConsistent) {
   std::vector<bool> on(n, false);
   for (std::size_t i = 0; i < res.support.size(); ++i) {
     EXPECT_LT(res.support[i], n);
-    if (i > 0) EXPECT_LT(res.support[i - 1], res.support[i]);
+    if (i > 0) {
+      EXPECT_LT(res.support[i - 1], res.support[i]);
+    }
     on[res.support[i]] = true;
   }
   for (std::size_t j = 0; j < n; ++j) {
-    if (!on[j]) EXPECT_DOUBLE_EQ(res.coefficients[j], 0.0);
+    if (!on[j]) {
+      EXPECT_DOUBLE_EQ(res.coefficients[j], 0.0);
+    }
   }
   // (2) reported residual equals the recomputed one;
   const auto fitted = meas.plan.sample_signal(res.reconstruction);
