@@ -5,7 +5,9 @@
 // cache must reuse exactly the common prefix between successive supports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -38,6 +40,14 @@ Vector dense_solve(const Matrix& a, std::size_t k,
   std::vector<std::size_t> idx(k);
   for (std::size_t i = 0; i < k; ++i) idx[i] = i;
   return QR(a.select_cols(idx)).solve(y);
+}
+
+// A cache over the columns of `a` (which must outlive it).
+SupportQrCache cache_over(const Matrix& a) {
+  return SupportQrCache(a.rows(), std::min(a.rows(), a.cols()),
+                        [&a](std::size_t j, std::span<double> out) {
+                          a.col_into(j, out);
+                        });
 }
 
 void expect_close(const Vector& a, const Vector& b, double tol) {
@@ -172,7 +182,7 @@ TEST(SupportQrCacheTest, ReusesLongestCommonPrefix) {
   Rng rng(602);
   const Vector y = rng.gaussian_vector(m);
 
-  SupportQrCache cache(a);
+  SupportQrCache cache = cache_over(a);
   std::vector<std::size_t> s1 = {1, 4, 7};
   ASSERT_TRUE(cache.refit(s1));
   EXPECT_EQ(cache.reused_columns(), 0u);
@@ -204,7 +214,7 @@ TEST(SupportQrCacheTest, DependentSupportReportsFailureAndRecovers) {
   Rng rng(702);
   const Vector y = rng.gaussian_vector(m);
 
-  SupportQrCache cache(a);
+  SupportQrCache cache = cache_over(a);
   std::vector<std::size_t> bad = {0, 2, 5};
   EXPECT_FALSE(cache.refit(bad));
 
