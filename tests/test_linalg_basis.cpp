@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <type_traits>
 
 #include "linalg/basis.h"
 #include "linalg/matrix.h"
@@ -13,10 +15,18 @@ namespace sl = sensedroid::linalg;
 
 // ----- parameterized orthonormality across all constructible bases -----
 
+// gtest prints a parameter that has no PrintTo as its raw bytes, and ctest
+// puts that text in the test name. The explicit zero bytes stand where the
+// compiler would leave uninitialised padding, so each name is the same from
+// run to run.
 struct BasisCase {
+  BasisCase(sl::BasisKind k, std::size_t size) : kind(k), n(size) {}
   sl::BasisKind kind;
+  std::uint8_t zero[sizeof(std::size_t) - sizeof(sl::BasisKind)] = {};
   std::size_t n;
 };
+static_assert(std::has_unique_object_representations_v<BasisCase>,
+              "BasisCase must have no padding bytes");
 
 class BasisOrthonormality : public ::testing::TestWithParam<BasisCase> {};
 
