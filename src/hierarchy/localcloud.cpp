@@ -14,6 +14,9 @@
 
 namespace sensedroid::hierarchy {
 
+ZoneSeries::ZoneSeries(std::uint32_t zone)
+    : labels{{"zone", std::to_string(zone)}} {}
+
 LocalCloud::LocalCloud(const field::SpatialField& truth,
                        const field::ZoneGrid& grid,
                        const NanoCloudConfig& nc_config, Rng& rng,
@@ -25,6 +28,7 @@ LocalCloud::LocalCloud(const field::SpatialField& truth,
   }
   clouds_.reserve(grid.zone_count());
   zone_truths_.reserve(grid.zone_count());
+  zone_series_.reserve(grid.zone_count());
   for (std::size_t id = 0; id < grid.zone_count(); ++id) {
     zone_truths_.push_back(grid.extract(truth, id));
   }
@@ -44,6 +48,7 @@ LocalCloud::LocalCloud(const field::SpatialField& truth,
     NanoCloudConfig zone_config = nc_config;
     zone_config.zone_id = static_cast<std::uint32_t>(id);
     clouds_.emplace_back(zone, zone_config, rng, it->second);
+    zone_series_.emplace_back(zone_config.zone_id);
   }
 }
 
@@ -99,7 +104,8 @@ RegionalResult LocalCloud::gather(const std::vector<ZoneDecision>& decisions,
     results[id] = clouds_[id].gather(budget[id], forks[id]);
     if (obs::attached()) {
       const auto dt = std::chrono::steady_clock::now() - t0;
-      obs::observe("hier.zone.gather_us", {{"zone", std::to_string(id)}},
+      ZoneSeries& zs = zone_series_[id];
+      obs::observe(zs.gather_us, "hier.zone.gather_us", zs.labels,
                    std::chrono::duration<double, std::micro>(dt).count());
     }
   };
@@ -121,7 +127,7 @@ RegionalResult LocalCloud::gather(const std::vector<ZoneDecision>& decisions,
     } else if (!plan.empty()) {
       guard_->record(id, res.m_used == 0 || res.failed_over, res.virtual_s);
     }
-    emit_zone_series(static_cast<std::uint32_t>(id), res);
+    emit_zone_series(zone_series_[id], res);
     out.total_measurements += res.m_used;
     out.node_energy_j += res.node_energy_j;
     out.stats += res.stats;
@@ -160,32 +166,37 @@ RegionalResult LocalCloud::gather_uniform(std::size_t measurements_per_zone,
   return gather(decisions, rng, fan_out);
 }
 
-void emit_zone_series(std::uint32_t zone, const GatherResult& res) noexcept {
+void emit_zone_series(ZoneSeries& zone, const GatherResult& res) noexcept {
   if (!obs::attached()) return;
-  const obs::Labels l{{"zone", std::to_string(zone)}};
-  obs::add_counter("hier.zone.rounds", l, 1.0);
-  obs::add_counter("hier.zone.replies", l,
+  const obs::Labels& l = zone.labels;
+  obs::add_counter(zone.rounds, "hier.zone.rounds", l, 1.0);
+  obs::add_counter(zone.replies, "hier.zone.replies", l,
                    static_cast<double>(res.m_used));
-  obs::add_counter("hier.zone.requested", l,
+  obs::add_counter(zone.requested, "hier.zone.requested", l,
                    static_cast<double>(res.m_requested));
-  obs::add_counter("hier.zone.energy_j", l,
+  obs::add_counter(zone.energy_j, "hier.zone.energy_j", l,
                    res.node_energy_j + res.stats.broker_energy_j);
-  obs::set_gauge("hier.zone.nrmse", l, res.nrmse);
-  if (res.degraded) obs::add_counter("hier.zone.degraded_rounds", l, 1.0);
-  if (res.failed_over) obs::add_counter("hier.zone.failovers", l, 1.0);
+  obs::set_gauge(zone.nrmse, "hier.zone.nrmse", l, res.nrmse);
+  if (res.degraded) {
+    obs::add_counter(zone.degraded_rounds, "hier.zone.degraded_rounds", l,
+                     1.0);
+  }
+  if (res.failed_over) {
+    obs::add_counter(zone.failovers, "hier.zone.failovers", l, 1.0);
+  }
   if (res.stats.radio_failures > 0) {
-    obs::add_counter("hier.zone.radio_failures", l,
+    obs::add_counter(zone.radio_failures, "hier.zone.radio_failures", l,
                      static_cast<double>(res.stats.radio_failures));
   }
   if (res.stats.retries > 0) {
-    obs::add_counter("hier.zone.retries", l,
+    obs::add_counter(zone.retries, "hier.zone.retries", l,
                      static_cast<double>(res.stats.retries));
   }
   if (res.stats.retry_recovered > 0) {
-    obs::add_counter("hier.zone.recovered", l,
+    obs::add_counter(zone.recovered, "hier.zone.recovered", l,
                      static_cast<double>(res.stats.retry_recovered));
   }
-  if (res.shed) obs::add_counter("hier.zone.shed", l, 1.0);
+  if (res.shed) obs::add_counter(zone.shed, "hier.zone.shed", l, 1.0);
 }
 
 void emit_shed(std::uint32_t zone, fault::ZoneAdmission why) noexcept {

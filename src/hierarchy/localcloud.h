@@ -17,6 +17,7 @@
 #include "field/zones.h"
 #include "hierarchy/adaptive.h"
 #include "hierarchy/nanocloud.h"
+#include "obs/metrics.h"
 #include "sim/radio.h"
 
 namespace sensedroid::hierarchy {
@@ -46,6 +47,19 @@ struct RegionalResult {
 /// if they had run that way, in index order.
 using FanOut = std::function<void(
     std::size_t n, const std::function<void(std::size_t)>& task)>;
+
+/// One zone's `{zone="<id>"}` label set, built once, and a call-site
+/// cache for each of its `hier.zone.*` series, so a round's per-zone
+/// writes neither allocate nor look a series up.  A LocalCloud holds one
+/// per zone; only the thread running that zone's task (gather_us) or
+/// the round's fold (the rest) touches it.
+struct ZoneSeries {
+  explicit ZoneSeries(std::uint32_t zone);
+
+  obs::Labels labels;
+  obs::SeriesCache gather_us, rounds, replies, requested, energy_j, nrmse,
+      degraded_rounds, failovers, radio_failures, retries, recovered, shed;
+};
 
 /// A LocalCloud over a regional ground-truth field partitioned by a
 /// ZoneGrid, one NanoCloud per zone.
@@ -111,6 +125,7 @@ class LocalCloud {
   // so those pointers stay stable.
   std::vector<field::SpatialField> zone_truths_;
   std::vector<NanoCloud> clouds_;
+  std::vector<ZoneSeries> zone_series_;  // one per zone, by zone id
   sim::LinkModel uplink_;
   fault::ZoneGuard* guard_ = nullptr;
 };
@@ -118,12 +133,12 @@ class LocalCloud {
 /// Emits one zone's health-input series (counters `hier.zone.rounds` /
 /// `degraded_rounds` / `failovers` / `radio_failures` / `retries` /
 /// `recovered` / `replies` / `requested` / `energy_j`, gauge
-/// `hier.zone.nrmse`), all labelled `{zone="<id>"}` — the inputs
+/// `hier.zone.nrmse`), all labelled with `zone.labels` — the inputs
 /// obs::HealthEngine scores.  No-op when detached.  Called from
 /// gather()'s zone-order fold; flag-like series (degraded/failovers/
 /// radio_failures/retries/recovered) only appear once nonzero, keeping
 /// un-faulted runs' metric set unchanged.
-void emit_zone_series(std::uint32_t zone, const GatherResult& res) noexcept;
+void emit_zone_series(ZoneSeries& zone, const GatherResult& res) noexcept;
 
 /// Emits the shed accounting for one refused zone (counters
 /// `fault.shed.rounds` + `fault.shed.breaker`/`fault.shed.budget`, plus

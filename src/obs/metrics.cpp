@@ -1,11 +1,11 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <sstream>
 #include <type_traits>
 
 namespace sensedroid::obs {
@@ -69,32 +69,64 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+/// Appends finite `v` as printf's %.12g (the bytes `ostream` with
+/// precision(12) gave): the one number format both exporters share.
+void append_number(std::string& out, double v) {
+  char buf[32];
+  char* end;
+  if (v == std::trunc(v) && std::fabs(v) < 1e12) {
+    // Integral and under 12 digits: %.12g prints the integer itself
+    // ("-0" for negative zero), and integer formatting is much cheaper.
+    char* p = buf;
+    if (std::signbit(v)) *p++ = '-';
+    end = std::to_chars(p, buf + sizeof(buf),
+                        static_cast<std::uint64_t>(std::fabs(v)))
+              .ptr;
+  } else {
+    end = std::to_chars(buf, buf + sizeof(buf), v,
+                        std::chars_format::general, 12)
+              .ptr;
+  }
+  out.append(buf, end);
+}
+
 /// JSON has no Infinity/NaN literals; clamp exporter output to numbers.
 std::string json_number(double v) {
   if (std::isnan(v)) return "0";
   if (std::isinf(v)) return v > 0 ? "1e308" : "-1e308";
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
+  std::string out;
+  append_number(out, v);
+  return out;
 }
 
-std::string prom_name(std::string_view name) {
-  std::string out(name);
-  for (char& c : out) {
+void append_count(std::string& out, std::uint64_t n) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), n).ptr);
+}
+
+void append_prom_number(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "NaN";
+  } else if (std::isinf(v)) {
+    out += v > 0 ? "+Inf" : "-Inf";
+  } else {
+    append_number(out, v);
+  }
+}
+
+/// Appends `name` with every character outside [a-zA-Z0-9_:] as '_'.
+void append_prom_name(std::string& out, std::string_view name) {
+  for (char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
-    if (!ok) c = '_';
+    out += ok ? c : '_';
   }
-  return out;
 }
 
 /// Prometheus text-format label-value escaping: exactly backslash,
 /// double-quote, and line-feed (the only escapes the spec defines —
 /// json_escape's \uXXXX forms are NOT valid in the exposition format).
-std::string prom_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+void append_prom_escaped(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '\\': out += "\\\\"; break;
@@ -103,30 +135,21 @@ std::string prom_escape(std::string_view s) {
       default: out += c;
     }
   }
-  return out;
 }
 
-std::string prom_labels(const Labels& labels) {
-  if (labels.empty()) return "";
-  std::string out = "{";
+/// Appends `{k="v",...}`, keys mapped and values escaped; nothing for
+/// no labels.
+void append_prom_labels(std::string& out, const Labels& labels) {
+  if (labels.empty()) return;
+  out += '{';
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (i) out += ',';
-    out += prom_name(labels[i].first);
+    append_prom_name(out, labels[i].first);
     out += "=\"";
-    out += prom_escape(labels[i].second);
+    append_prom_escaped(out, labels[i].second);
     out += '"';
   }
   out += '}';
-  return out;
-}
-
-std::string prom_number(double v) {
-  if (std::isnan(v)) return "NaN";
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
 }
 
 std::atomic<MetricsRegistry*> g_registry{nullptr};
@@ -259,6 +282,16 @@ std::atomic<std::uint64_t> g_next_stamp{1};
 MetricsRegistry::MetricsRegistry()
     : stamp_(g_next_stamp.fetch_add(1, std::memory_order_relaxed)) {}
 
+template <class T>
+MetricsRegistry::Series<T> MetricsRegistry::make_series(
+    std::string_view name, const Labels& labels, std::unique_ptr<T> metric) {
+  Series<T> s{std::string(name), labels, std::move(metric), {}, 0};
+  append_prom_name(s.prom_head, name);
+  s.prom_name_size = s.prom_head.size();
+  append_prom_labels(s.prom_head, labels);
+  return s;
+}
+
 bool MetricsRegistry::admit_series_locked(std::string_view name) {
   // The drop counter itself must never be refused (and must not recurse
   // into the guard), so it is exempt by name.
@@ -281,9 +314,8 @@ bool MetricsRegistry::admit_series_locked(std::string_view name) {
   auto dit = counters_.find(drop_key);
   if (dit == counters_.end()) {
     dit = counters_
-              .emplace(drop_key,
-                       Series<Counter>{std::string(kDropFamily), drop_labels,
-                                       std::make_unique<Counter>()})
+              .emplace(drop_key, make_series(kDropFamily, drop_labels,
+                                             std::make_unique<Counter>()))
               .first;
   }
   dit->second.metric->inc();
@@ -298,8 +330,8 @@ Counter& MetricsRegistry::counter(std::string_view name,
   if (it == counters_.end()) {
     if (!admit_series_locked(name)) return overflow_counter_;
     it = counters_
-             .emplace(key, Series<Counter>{std::string(name), labels,
-                                           std::make_unique<Counter>()})
+             .emplace(key, make_series(name, labels,
+                                       std::make_unique<Counter>()))
              .first;
   }
   return *it->second.metric;
@@ -312,8 +344,8 @@ Gauge& MetricsRegistry::gauge(std::string_view name, const Labels& labels) {
   if (it == gauges_.end()) {
     if (!admit_series_locked(name)) return overflow_gauge_;
     it = gauges_
-             .emplace(key, Series<Gauge>{std::string(name), labels,
-                                         std::make_unique<Gauge>()})
+             .emplace(key,
+                      make_series(name, labels, std::make_unique<Gauge>()))
              .first;
   }
   return *it->second.metric;
@@ -331,8 +363,7 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
                       ? std::make_unique<Histogram>()
                       : std::make_unique<Histogram>(std::move(bounds));
     it = histograms_
-             .emplace(key, Series<Histogram>{std::string(name), labels,
-                                             std::move(metric)})
+             .emplace(key, make_series(name, labels, std::move(metric)))
              .first;
   }
   return *it->second.metric;
@@ -501,39 +532,73 @@ std::string MetricsRegistry::to_json(bool include_wall_clock) const {
 }
 
 std::string MetricsRegistry::to_prometheus() const {
-  const auto all = samples();
   std::string out;
-  std::string last_typed;
-  for (const auto& s : all) {
-    const std::string name = prom_name(s.name);
-    if (s.kind == 'c' || s.kind == 'g') {
-      if (name != last_typed) {
-        out += "# TYPE " + name +
-               (s.kind == 'c' ? " counter\n" : " gauge\n");
-        last_typed = name;
-      }
-      out += name + prom_labels(s.labels) + ' ' + prom_number(s.value) +
-             '\n';
-    } else {
-      if (name != last_typed) {
-        out += "# TYPE " + name + " histogram\n";
-        last_typed = name;
-      }
-      std::uint64_t cum = 0;
-      for (std::size_t b = 0; b < s.buckets.size(); ++b) {
-        cum += s.buckets[b];
-        if (s.buckets[b] == 0 && b + 1 != s.buckets.size()) continue;
-        Labels le = s.labels;
-        le.emplace_back(
-            "le", b < s.bounds.size() ? prom_number(s.bounds[b]) : "+Inf");
-        out += name + "_bucket" + prom_labels(le) + ' ' +
-               std::to_string(cum) + '\n';
-      }
-      out += name + "_sum" + prom_labels(s.labels) + ' ' +
-             prom_number(s.sum) + '\n';
-      out += name + "_count" + prom_labels(s.labels) + ' ' +
-             std::to_string(s.count) + '\n';
+  std::string_view last_typed;  // into a series' prom_head
+  const auto type_line = [&](std::string_view name, const char* kind) {
+    if (name == last_typed) return;
+    out += "# TYPE ";
+    out += name;
+    out += kind;
+    last_typed = name;
+  };
+  const auto scalar_lines = [&](const auto& map, const char* kind) {
+    for (const auto& [key, s] : map) {
+      type_line(std::string_view(s.prom_head).substr(0, s.prom_name_size),
+                kind);
+      out += s.prom_head;
+      out += ' ';
+      append_prom_number(out, s.metric->value());
+      out += '\n';
     }
+  };
+  std::lock_guard<std::mutex> lk(mu_);
+  scalar_lines(counters_, " counter\n");
+  scalar_lines(gauges_, " gauge\n");
+  std::string bucket_head;  // `<name>_bucket{<labels>,le="`
+  for (const auto& [key, s] : histograms_) {
+    const std::string_view head = s.prom_head;
+    const std::string_view name = head.substr(0, s.prom_name_size);
+    const std::string_view labels = head.substr(s.prom_name_size);
+    type_line(name, " histogram\n");
+    bucket_head = name;
+    bucket_head += "_bucket";
+    if (labels.empty()) {
+      bucket_head += '{';
+    } else {
+      bucket_head += labels.substr(0, labels.size() - 1);  // drop the '}'
+      bucket_head += ',';
+    }
+    bucket_head += "le=\"";
+    const Histogram& h = *s.metric;
+    const std::vector<double>& bounds = h.bounds();
+    // Cumulative buckets; empty ones are skipped, except the +Inf line.
+    std::uint64_t cum = 0;
+    for (std::size_t b = 0; b <= bounds.size(); ++b) {
+      const std::uint64_t in_bucket = h.bucket_count(b);
+      cum += in_bucket;
+      if (in_bucket == 0 && b != bounds.size()) continue;
+      out += bucket_head;
+      if (b < bounds.size()) {
+        append_prom_number(out, bounds[b]);
+      } else {
+        out += "+Inf";
+      }
+      out += "\"} ";
+      append_count(out, cum);
+      out += '\n';
+    }
+    out += name;
+    out += "_sum";
+    out += labels;
+    out += ' ';
+    append_prom_number(out, h.sum());
+    out += '\n';
+    out += name;
+    out += "_count";
+    out += labels;
+    out += ' ';
+    append_count(out, h.count());
+    out += '\n';
   }
   return out;
 }
@@ -624,13 +689,19 @@ namespace {
 // resolved metric pointer, validated by the owning registry's stamp.
 // The slow path (mutex + map lookup + series_key string build) costs
 // ~150 ns, which at ~5 helper calls per 12 µs OMP solve is most of the
-// armed-vs-detached overhead budget, and a campaign round makes
-// thousands of labelled radio and energy writes; a cache hit is a hash
-// and a few compares.  Entries self-heal on any mismatch (different
-// sink, cleared registry, colliding slot) by falling through to the
-// slow path and overwriting the slot.  A refused series is never
-// cached, so every write to it still counts as a refused creation.
+// armed-vs-detached overhead budget; a cache hit is a hash and a few
+// compares.  The per-event radio and energy writes and the per-zone
+// series bypass it through their own SeriesCache sites: they would
+// cost a key build each, and the per-zone family alone would evict
+// every other key.  The slots form two-way sets, most recently used
+// first: a round's ~40 unlabelled names direct-mapped into 64 slots
+// left several pairs colliding, and each pair missed on every write.
+// Entries self-heal on any mismatch (different sink, cleared registry,
+// set full) by falling through to the slow path and taking the set's
+// first slot.  A refused series is never cached, so every write to it
+// still counts as a refused creation.
 constexpr std::size_t kFastSlots = 64;   // power of two
+constexpr std::size_t kFastSets = kFastSlots / 2;  // two slots each
 constexpr std::size_t kFastKeyCap = 47;  // longer keys skip the cache
 
 struct FastEntry {
@@ -661,46 +732,77 @@ std::string_view fast_key(std::string_view name, const Labels& labels,
   return {buf, n};
 }
 
-std::size_t fast_slot(std::string_view key, char kind) noexcept {
+/// The first slot of the set that caches `key`.
+std::size_t fast_set(std::string_view key, char kind) noexcept {
   const std::size_t h = std::hash<std::string_view>{}(key) * 31 +
                         static_cast<unsigned char>(kind);
-  return h & (kFastSlots - 1);
+  return (h & (kFastSets - 1)) * 2;
 }
 
-/// The metric behind (name, labels) in `r`, created on first use;
-/// nullptr when creation threw.
+/// The metric behind (name, labels) in `r`, created on first use; the
+/// registry's slow path, with nullptr when creation threw.
+template <class T>
+T* lookup(MetricsRegistry* r, std::string_view name,
+          const Labels& labels) noexcept {
+  try {
+    if constexpr (std::is_same_v<T, Counter>) {
+      return &r->counter(name, labels);
+    } else if constexpr (std::is_same_v<T, Gauge>) {
+      return &r->gauge(name, labels);
+    } else {
+      return &r->histogram(name, labels);
+    }
+  } catch (...) {
+    return nullptr;
+  }
+}
+
+/// lookup() behind the thread-local fast path.
 template <class T>
 T* resolve(MetricsRegistry* r, char kind, std::string_view name,
            const Labels& labels) noexcept {
   char buf[kFastKeyCap + 1];
   const std::string_view key = fast_key(name, labels, buf);
-  FastEntry* e = key.empty() ? nullptr : &t_fast[fast_slot(key, kind)];
-  if (e != nullptr && e->kind == kind && e->reg == r &&
-      e->len == key.size() && e->stamp == r->stamp() &&
-      std::memcmp(e->key, key.data(), key.size()) == 0) {
-    return static_cast<T*>(e->metric);
-  }
-  try {
-    T* m;
-    if constexpr (std::is_same_v<T, Counter>) {
-      m = &r->counter(name, labels);
-    } else if constexpr (std::is_same_v<T, Gauge>) {
-      m = &r->gauge(name, labels);
-    } else {
-      m = &r->histogram(name, labels);
+  FastEntry* set = key.empty() ? nullptr : &t_fast[fast_set(key, kind)];
+  // Read before the lookup: a clear() racing it leaves a stale stamp
+  // behind, never a fresh stamp on a stale pointer.
+  const std::uint64_t stamp = r->stamp();
+  const auto hit = [&](const FastEntry& e) {
+    return e.kind == kind && e.reg == r && e.len == key.size() &&
+           e.stamp == stamp && std::memcmp(e.key, key.data(), key.size()) == 0;
+  };
+  if (set != nullptr) {
+    if (hit(set[0])) return static_cast<T*>(set[0].metric);
+    if (hit(set[1])) {
+      std::swap(set[0], set[1]);
+      return static_cast<T*>(set[0].metric);
     }
-    if (e != nullptr && !r->is_overflow(m)) {
-      std::memcpy(e->key, key.data(), key.size());
-      e->len = static_cast<std::uint8_t>(key.size());
-      e->kind = kind;
-      e->reg = r;
-      e->stamp = r->stamp();
-      e->metric = m;
-    }
-    return m;
-  } catch (...) {
-    return nullptr;
   }
+  T* m = lookup<T>(r, name, labels);
+  if (set != nullptr && m != nullptr && !r->is_overflow(m)) {
+    set[1] = set[0];
+    FastEntry* e = &set[0];
+    std::memcpy(e->key, key.data(), key.size());
+    e->len = static_cast<std::uint8_t>(key.size());
+    e->kind = kind;
+    e->reg = r;
+    e->stamp = stamp;
+    e->metric = m;
+  }
+  return m;
+}
+
+/// lookup() behind a call site's own cache.
+template <class T>
+T* resolve(SeriesCache& site, MetricsRegistry* r, std::string_view name,
+           const Labels& labels) noexcept {
+  const std::uint64_t stamp = r->stamp();
+  if (site.registry == r && site.stamp == stamp) {
+    return static_cast<T*>(site.metric);
+  }
+  T* m = lookup<T>(r, name, labels);
+  if (m != nullptr && !r->is_overflow(m)) site = {r, stamp, m};
+  return m;
 }
 
 }  // namespace
@@ -738,6 +840,32 @@ void observe(std::string_view name, const Labels& labels,
   if (MetricJournal* j = t_journal) return j->record('h', name, labels, v);
   if (MetricsRegistry* r = sink()) {
     if (Histogram* h = resolve<Histogram>(r, 'h', name, labels)) {
+      h->observe(v);
+    }
+  }
+}
+
+void add_counter(SeriesCache& site, std::string_view name,
+                 const Labels& labels, double v) noexcept {
+  if (MetricJournal* j = t_journal) return j->record('c', name, labels, v);
+  if (MetricsRegistry* r = sink()) {
+    if (Counter* c = resolve<Counter>(site, r, name, labels)) c->add(v);
+  }
+}
+
+void set_gauge(SeriesCache& site, std::string_view name, const Labels& labels,
+               double v) noexcept {
+  if (MetricJournal* j = t_journal) return j->record('g', name, labels, v);
+  if (MetricsRegistry* r = sink()) {
+    if (Gauge* g = resolve<Gauge>(site, r, name, labels)) g->set(v);
+  }
+}
+
+void observe(SeriesCache& site, std::string_view name, const Labels& labels,
+             double v) noexcept {
+  if (MetricJournal* j = t_journal) return j->record('h', name, labels, v);
+  if (MetricsRegistry* r = sink()) {
+    if (Histogram* h = resolve<Histogram>(site, r, name, labels)) {
       h->observe(v);
     }
   }

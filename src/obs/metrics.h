@@ -101,6 +101,10 @@ class Histogram {
   const std::vector<double>& bounds() const noexcept { return bounds_; }
   /// Per-bucket counts; size() == bounds().size() + 1 (last = overflow).
   std::vector<std::uint64_t> bucket_counts() const;
+  /// Count of bucket `i` (i <= bounds().size(); the last is overflow).
+  std::uint64_t bucket_count(std::size_t i) const noexcept {
+    return buckets_[i].load(std::memory_order_relaxed);
+  }
 
   /// Folds another histogram's exported state into this one (checkpoint
   /// restore).  When `bounds` matches this histogram's bounds the merge
@@ -187,10 +191,11 @@ class MetricsRegistry {
   /// byte-identical-replay contract is stated over.
   std::string to_json() const;
   std::string to_json(bool include_wall_clock) const;
-  /// Prometheus text exposition format ('.' becomes '_' in names).
+  /// Prometheus text exposition format ('.' becomes '_' in names),
+  /// rendered in one pass over the series under the registry lock.
   std::string to_prometheus() const;
 
-  /// One exported sample, shared by both exporters and RunReport.
+  /// One exported sample, shared by the JSON exporter and RunReport.
   struct Sample {
     std::string name;
     Labels labels;
@@ -210,9 +215,18 @@ class MetricsRegistry {
     std::string name;
     Labels labels;
     std::unique_ptr<T> metric;
+    /// `<name>{<labels>}` as the Prometheus text prints it, formatted
+    /// once at creation; the mapped name is its first prom_name_size
+    /// bytes, and there are no braces without labels.
+    std::string prom_head;
+    std::size_t prom_name_size = 0;
   };
   template <class T>
   using SeriesMap = std::map<std::string, Series<T>, std::less<>>;
+
+  template <class T>
+  static Series<T> make_series(std::string_view name, const Labels& labels,
+                               std::unique_ptr<T> metric);
 
   /// True when family `name` may accept one more series; otherwise
   /// counts the drop.  Caller must hold mu_.
@@ -313,6 +327,32 @@ void set_gauge(std::string_view name, const Labels& labels,
                double v) noexcept;
 void observe(std::string_view name, double v) noexcept;
 void observe(std::string_view name, const Labels& labels, double v) noexcept;
+
+/// The resolved series of one fixed call site: which sink it was
+/// resolved in, under which stamp, and the metric found there.  The
+/// helpers below that take one resolve (name, labels) once per (sink,
+/// stamp) and then write straight to the metric, without building a key
+/// and without touching the helpers' shared thread-local cache, which a
+/// per-zone series family would overflow.  A refused series is never
+/// cached, a bound journal records the write exactly as the plain
+/// helpers do, and a cache that saw a different sink or a cleared
+/// registry resolves again.
+///
+/// A site serves one (kind, name, labels) and one thread at a time: keep
+/// it `thread_local`, or in state that only one thread touches per
+/// round (one zone's entry in LocalCloud).
+struct SeriesCache {
+  const MetricsRegistry* registry = nullptr;
+  std::uint64_t stamp = 0;
+  void* metric = nullptr;
+};
+
+void add_counter(SeriesCache& site, std::string_view name,
+                 const Labels& labels, double v) noexcept;
+void set_gauge(SeriesCache& site, std::string_view name, const Labels& labels,
+               double v) noexcept;
+void observe(SeriesCache& site, std::string_view name, const Labels& labels,
+             double v) noexcept;
 
 /// RAII timer: observes elapsed microseconds into histogram `name` on
 /// destruction.  Captures nothing (not even the clock) when detached at

@@ -18,13 +18,29 @@ std::string to_string(EnergyCategory c) {
   return "unknown";
 }
 
+namespace {
+
+// One label set per category, built once so a write allocates nothing.
+const obs::Labels kCategoryLabels[kEnergyCategoryCount] = {
+    {{"category", to_string(EnergyCategory::kSensing)}},
+    {{"category", to_string(EnergyCategory::kTx)}},
+    {{"category", to_string(EnergyCategory::kRx)}},
+    {{"category", to_string(EnergyCategory::kCompute)}},
+    {{"category", to_string(EnergyCategory::kIdle)}},
+};
+
+thread_local obs::SeriesCache t_joules[kEnergyCategoryCount];
+
+}  // namespace
+
 void EnergyMeter::add(EnergyCategory c, double joules) {
   if (joules < 0.0) {
     throw std::invalid_argument("EnergyMeter::add: negative energy");
   }
-  by_cat_[static_cast<std::size_t>(c)] += joules;
+  const auto i = static_cast<std::size_t>(c);
+  by_cat_[i] += joules;
   if (obs::attached()) {
-    obs::add_counter("sim.energy.joules", {{"category", to_string(c)}},
+    obs::add_counter(t_joules[i], "sim.energy.joules", kCategoryLabels[i],
                      joules);
   }
 }

@@ -15,6 +15,32 @@ std::string to_string(RadioKind kind) {
   return "unknown";
 }
 
+namespace {
+
+// Per-event radio series, one label set per kind (an out-of-range kind
+// is "unknown", as to_string says), built once so a write allocates
+// nothing.
+constexpr std::size_t kKindSlots = 4;
+
+std::size_t kind_slot(RadioKind kind) noexcept {
+  return std::min<std::size_t>(static_cast<std::size_t>(kind),
+                               kKindSlots - 1);
+}
+
+const obs::Labels kKindLabels[kKindSlots] = {
+    {{"radio", to_string(RadioKind::kWiFi)}},
+    {{"radio", to_string(RadioKind::kBluetooth)}},
+    {{"radio", to_string(RadioKind::kGsm)}},
+    {{"radio", "unknown"}},
+};
+
+struct KindSites {
+  obs::SeriesCache tx_bytes, rx_bytes, attempts, drops;
+};
+thread_local KindSites t_sites[kKindSlots];
+
+}  // namespace
+
 LinkModel LinkModel::of(RadioKind kind) {
   switch (kind) {
     case RadioKind::kWiFi:
@@ -37,16 +63,18 @@ double LinkModel::transfer_time_s(std::size_t bytes) const noexcept {
 
 double LinkModel::tx_energy_j(std::size_t bytes) const noexcept {
   if (obs::attached()) {
-    obs::add_counter("sim.radio.tx_bytes", {{"radio", to_string(kind)}},
-                     static_cast<double>(bytes));
+    const std::size_t k = kind_slot(kind);
+    obs::add_counter(t_sites[k].tx_bytes, "sim.radio.tx_bytes",
+                     kKindLabels[k], static_cast<double>(bytes));
   }
   return tx_energy_per_byte_j * static_cast<double>(bytes);
 }
 
 double LinkModel::rx_energy_j(std::size_t bytes) const noexcept {
   if (obs::attached()) {
-    obs::add_counter("sim.radio.rx_bytes", {{"radio", to_string(kind)}},
-                     static_cast<double>(bytes));
+    const std::size_t k = kind_slot(kind);
+    obs::add_counter(t_sites[k].rx_bytes, "sim.radio.rx_bytes",
+                     kKindLabels[k], static_cast<double>(bytes));
   }
   return rx_energy_per_byte_j * static_cast<double>(bytes);
 }
@@ -71,9 +99,12 @@ double LinkModel::delivery_probability(double dist) const noexcept {
 bool LinkModel::delivery_succeeds(double dist, Rng& rng) const {
   const bool ok = rng.bernoulli(delivery_probability(dist));
   if (obs::attached()) {
-    obs::add_counter("sim.radio.attempts", {{"radio", to_string(kind)}}, 1.0);
+    const std::size_t k = kind_slot(kind);
+    obs::add_counter(t_sites[k].attempts, "sim.radio.attempts",
+                     kKindLabels[k], 1.0);
     if (!ok) {
-      obs::add_counter("sim.radio.drops", {{"radio", to_string(kind)}}, 1.0);
+      obs::add_counter(t_sites[k].drops, "sim.radio.drops", kKindLabels[k],
+                       1.0);
     }
   }
   return ok;

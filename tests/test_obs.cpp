@@ -1,13 +1,19 @@
 // sensedroid_obs unit tests: concurrent counter increments, histogram
 // quantile correctness against a known distribution, span nesting,
 // exporter output validity, the cardinality guard, Prometheus escaping
-// conformance (golden file), and the RunReport schema golden.
+// conformance (golden file), the one-pass renderer against the
+// Sample-based oracle over seeded random registries, and the RunReport
+// schema golden.
 // Deliberately depends only on the obs library so the sanitizer twin
 // binaries stay small.
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,6 +22,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "support/prometheus_oracle.h"
 
 #ifndef SENSEDROID_TESTS_DIR
 #define SENSEDROID_TESTS_DIR "."
@@ -601,6 +608,180 @@ TEST_F(ObsTest, PrometheusGoldenRoundTrip) {
                 "/golden/prometheus_conformance.txt");
   ASSERT_FALSE(golden.empty()) << "missing golden file";
   EXPECT_EQ(text, golden) << "--- actual ---\n" << text;
+}
+
+namespace {
+
+// Draws for the renderer differential test.  Every pool entry is there
+// for an edge the exposition format or %.12g formatting has: names and
+// label keys that need '_' mapping (two that map to the same name),
+// label values with '"', '\' and newlines, signed zeros, NaN, infinities,
+// denormals, the largest finite magnitudes, integers on both sides of
+// 1e12 (where %.12g leaves plain digits) and past 2^53.
+class RegistryDraw {
+ public:
+  explicit RegistryDraw(std::uint64_t seed) : rng_(seed) {}
+
+  std::size_t index(std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng_);
+  }
+  bool coin(double p) { return std::bernoulli_distribution(p)(rng_); }
+
+  template <class T, std::size_t N>
+  const T& pick(const T (&pool)[N]) {
+    return pool[index(N)];
+  }
+
+  std::string name() {
+    static const char* const kNames[] = {
+        "cs.omp.solves", "sim.radio.tx_bytes", "a-b.c d", "x/y:z",
+        "9lead",         "_ok:name",           "\xc3\xbcn\xc3\xaf",
+        "same_name",     "same.name",          "h.lat_us",
+        "q"};
+    if (coin(0.8)) return pick(kNames);
+    static const char kChars[] = "abcXYZ019._-: /\"\\\n";
+    std::string out;
+    for (std::size_t i = 1 + index(6); i > 0; --i) {
+      out += kChars[index(sizeof(kChars) - 1)];
+    }
+    return out;
+  }
+
+  obs::Labels labels() {
+    static const char* const kKeys[] = {"zone", "radio", "k.e-y", "a b",
+                                        "le2"};
+    static const char* const kValues[] = {
+        "",          "wifi",     "q\"b",  "back\\slash", "new\nline",
+        "\\\"\n\\", "\xc3\xbc", "12",    "{}=,"};
+    obs::Labels out;
+    for (std::size_t i = index(4); i > 0; --i) {
+      out.emplace_back(pick(kKeys), pick(kValues));
+    }
+    return out;
+  }
+
+  double value() {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    static const double kSpecial[] = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::quiet_NaN(),
+        kInf,
+        -kInf,
+        std::numeric_limits<double>::denorm_min(),
+        -4.9406564584124654e-320,
+        2.2250738585072e-309,
+        1e308,
+        -1e308,
+        std::numeric_limits<double>::max(),
+        9007199254740992.0,   // 2^53
+        9007199254740994.0,   // 2^53 + 2
+        9223372036854775808.0,  // 2^63
+        123456789012345678.0,
+        1.0 / 3.0,
+        0.1,
+        1e-5,
+        100000000000.0,
+        999999999999.0,
+        999999999999.5,
+        -123456.0,
+        1e12};
+    switch (index(3)) {
+      case 0: return pick(kSpecial);
+      case 1: return static_cast<double>(index(2000));
+      default: {
+        const double mant = std::normal_distribution<double>(0.0, 1.0)(rng_);
+        const int exp = static_cast<int>(index(61)) - 30;
+        return mant * std::pow(10.0, exp);
+      }
+    }
+  }
+
+  /// Custom histogram bounds: finite, any sign, sometimes repeated.
+  std::vector<double> bounds() {
+    std::vector<double> out;
+    for (std::size_t i = 1 + index(6); i > 0; --i) {
+      double b = value();
+      if (!std::isfinite(b)) b = static_cast<double>(index(50)) - 10.0;
+      out.push_back(b);
+    }
+    return out;
+  }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+}  // namespace
+
+// The one-pass renderer against the Sample-based renderer it replaced
+// (tests/support/prometheus_oracle.h): every seeded random registry must
+// render to the same bytes.
+TEST_F(ObsTest, PrometheusRenderMatchesOracleByteForByte) {
+  constexpr int kDraws = 1200;
+  RegistryDraw draw(20261017);
+  std::size_t dropped = 0, empty_hists = 0, overflow_only = 0, custom = 0;
+  std::size_t specials = 0;
+  for (int d = 0; d < kDraws; ++d) {
+    obs::MetricsRegistry reg;
+    if (draw.coin(0.3)) reg.set_series_limit(1 + draw.index(3));
+    for (std::size_t i = draw.index(13); i > 0; --i) {
+      const std::string name = draw.name();
+      const obs::Labels labels = draw.labels();
+      switch (draw.index(3)) {
+        case 0: {
+          auto& c = reg.counter(name, labels);
+          for (std::size_t k = 1 + draw.index(3); k > 0; --k) {
+            c.add(draw.value());
+          }
+          break;
+        }
+        case 1:
+          reg.gauge(name, labels).set(draw.value());
+          break;
+        default: {
+          std::vector<double> bounds;
+          if (draw.coin(0.6)) {
+            bounds = draw.bounds();
+            ++custom;
+          }
+          auto& h = reg.histogram(name, labels, bounds);
+          switch (draw.index(3)) {
+            case 0:
+              ++empty_hists;
+              break;
+            case 1:
+              h.observe(std::numeric_limits<double>::infinity());
+              if (draw.coin(0.5)) h.observe(h.bounds().back() * 2.0 + 1.0);
+              overflow_only += h.bucket_count(h.bounds().size()) == h.count();
+              break;
+            default:
+              for (std::size_t k = 1 + draw.index(8); k > 0; --k) {
+                const double v = draw.value();
+                specials += !std::isfinite(v) || v == 0.0;
+                h.observe(v);
+              }
+              break;
+          }
+          break;
+        }
+      }
+    }
+    dropped += reg.dropped_series() > 0.0;
+    const std::string got = reg.to_prometheus();
+    const std::string want = test_support::oracle_to_prometheus(reg);
+    ASSERT_EQ(got.size(), want.size()) << "draw " << d << "\n--- got ---\n"
+                                       << got << "--- want ---\n" << want;
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size()), 0)
+        << "draw " << d << "\n--- got ---\n" << got << "--- want ---\n"
+        << want;
+  }
+  // The draws reached every edge they are there for.
+  EXPECT_GT(dropped, 50u);
+  EXPECT_GT(empty_hists, 100u);
+  EXPECT_GT(overflow_only, 100u);
+  EXPECT_GT(custom, 200u);
+  EXPECT_GT(specials, 100u);
 }
 
 TEST_F(ObsTest, RunReportSchemaGolden) {
