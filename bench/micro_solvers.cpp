@@ -158,6 +158,25 @@ void BM_ChsZone2d(benchmark::State& state) {
 }
 BENCHMARK(BM_ChsZone2d);
 
+// Step (a)'s stencil build alone: the 2-D kLinear Upsilon of NanoCloud's
+// zones, 16x16 with m = 64 and 8x8 with m = 20.  A campaign builds one
+// per zone solve, each on a new plan, so the loop cycles through 256
+// drawn plans rather than rebuilding one the branch predictor has learnt.
+void BM_UpsilonBuild(benchmark::State& state) {
+  const auto side = static_cast<std::size_t>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
+  linalg::Rng rng(22);
+  std::vector<std::vector<std::size_t>> plans(256);
+  for (auto& loc : plans) loc = rng.sample_without_replacement(side * side, m);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const cs::Upsilon upsilon(plans[i++ % plans.size()], side * side, side,
+                              cs::Interpolation::kLinear);
+    benchmark::DoNotOptimize(&upsilon);
+  }
+}
+BENCHMARK(BM_UpsilonBuild)->Args({16, 64})->Args({8, 20});
+
 void BM_Ols(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const std::size_t k = m / 3;

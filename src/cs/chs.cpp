@@ -1,7 +1,6 @@
 #include "cs/chs.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -17,6 +16,81 @@
 namespace sensedroid::cs {
 
 using linalg::norm2;
+
+namespace {
+
+// Four grid points' worth of doubles.  The kernel below is written with
+// GCC vector extensions, which GCC vectorizes at every optimization
+// level.  Left to the auto-vectorizer, the same insertion as a plain
+// 8-lane loop came out vectorized at one of -O2 and -O3 and scalar at the
+// other, which of the two depending on the loop's shape, and the scalar
+// build ran slower than a per-point scan with branches.
+typedef double Lanes __attribute__((vector_size(32)));
+constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(double);
+constexpr std::size_t kHalves = 2;  // Lanes per block of grid points
+
+// For each grid point g of a column-stacked height x (n/height) grid,
+// the Slots nearest samples (sample s sits at si[s], sj[s]), found by
+// insertion in sample order: a sample walks the slots from the nearest,
+// swapping with every slot whose distance it is strictly below.  Each
+// grid point is one lane and each swap a select, so the scan takes no
+// data-dependent branch; a sample no nearer than the last slot passes
+// through unswapped.  Calls finish(g, nd2, ns) once per grid point with
+// its squared distances in slot order (1e300 in slots no sample reached)
+// and their sample indices, held as doubles.
+template <std::size_t Slots, class Finish>
+void nearest_samples(const std::vector<double>& si,
+                     const std::vector<double>& sj, std::size_t n,
+                     std::size_t height, Finish&& finish) {
+  constexpr std::size_t kBlock = kLanes * kHalves;
+  for (std::size_t base = 0; base < n; base += kBlock) {
+    // Tail lanes past n scan points off the grid; their results are dropped.
+    Lanes gi[kHalves], gj[kHalves];
+    for (std::size_t h = 0; h < kHalves; ++h) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const std::size_t g = base + h * kLanes + l;
+        gi[h][l] = static_cast<double>(g % height);
+        gj[h][l] = static_cast<double>(g / height);
+      }
+    }
+    Lanes nd2[Slots][kHalves], ns[Slots][kHalves];
+    for (std::size_t r = 0; r < Slots; ++r) {
+      for (std::size_t h = 0; h < kHalves; ++h) {
+        nd2[r][h] = Lanes{} + 1e300;
+        ns[r][h] = Lanes{};
+      }
+    }
+    for (std::size_t s = 0; s < si.size(); ++s) {
+      const double index = static_cast<double>(s);
+      for (std::size_t h = 0; h < kHalves; ++h) {
+        const Lanes di = si[s] - gi[h];
+        const Lanes dj = sj[s] - gj[h];
+        Lanes d2 = di * di + dj * dj;
+        Lanes idx = Lanes{} + index;
+        for (std::size_t r = 0; r < Slots; ++r) {
+          // Strict: a sample at a slot's own distance does not displace it.
+          const auto nearer = d2 < nd2[r][h];
+          const Lanes kept_d2 = nd2[r][h];
+          const Lanes kept_idx = ns[r][h];
+          nd2[r][h] = nearer ? d2 : kept_d2;
+          ns[r][h] = nearer ? idx : kept_idx;
+          d2 = nearer ? kept_d2 : d2;
+          idx = nearer ? kept_idx : idx;
+        }
+      }
+    }
+    for (std::size_t l = 0; l < kBlock && base + l < n; ++l) {
+      double lane_d2[Slots], lane_s[Slots];
+      for (std::size_t r = 0; r < Slots; ++r) {
+        lane_d2[r] = nd2[r][l / kLanes][l % kLanes];
+        lane_s[r] = ns[r][l / kLanes][l % kLanes];
+      }
+      finish(base + l, lane_d2, lane_s);
+    }
+  }
+}
+
+}  // namespace
 
 Upsilon::Upsilon(std::span<const std::size_t> locations, std::size_t n,
                  std::size_t height, Interpolation kind)
@@ -82,67 +156,41 @@ Upsilon::Upsilon(std::span<const std::size_t> locations, std::size_t n,
     return;
   }
 
-  // 2-D: sample coordinates once, then a scan over the samples per grid
-  // point.  Coordinates are integers, so every d2 below is exact.
+  // 2-D: sample coordinates once, then one scan over the samples per
+  // block of grid points.  Coordinates are integers, so every d2 is exact.
   std::vector<double> si(m), sj(m);
   for (std::size_t s = 0; s < m; ++s) {
     si[s] = static_cast<double>(locations[s] % height);
     sj[s] = static_cast<double>(locations[s] / height);
   }
-  if (kind == Interpolation::kLinear) wsum_.assign(n, 0.0);
-  for (std::size_t g = 0; g < n; ++g) {
-    const double gi = static_cast<double>(g % height);
-    const double gj = static_cast<double>(g / height);
-    std::size_t* slot = &sample_[kSlots * g];
-    if (kind == Interpolation::kNearest) {
-      double best_d2 = 1e300;
-      for (std::size_t s = 0; s < m; ++s) {
-        const double di = si[s] - gi;
-        const double dj = sj[s] - gj;
-        const double d2 = di * di + dj * dj;
-        if (d2 < best_d2) {  // strict: ties keep the earlier sample
-          best_d2 = d2;
-          slot[0] = s;
-        }
-      }
-      continue;
-    }
-    // kLinear: the kSlots nearest samples by insertion in sample order.
-    // A displaced neighbour moves on past equal distances, so ties are
-    // not kept in sample order; the rule is kept because the output must
-    // match the per-call code bit for bit.  A sample no nearer than the
-    // current last neighbour would pass every comparison without a swap,
-    // so it is skipped before the insertion.
-    std::array<double, kSlots> nd2;
-    std::array<std::size_t, kSlots> ns{};
-    nd2.fill(1e300);
-    for (std::size_t s = 0; s < m; ++s) {
-      const double di = si[s] - gi;
-      const double dj = sj[s] - gj;
-      double d2 = di * di + dj * dj;
-      if (!(d2 < nd2[kSlots - 1])) continue;
-      std::size_t idx = s;
-      for (std::size_t r = 0; r < kSlots; ++r) {
-        if (d2 < nd2[r]) {
-          std::swap(d2, nd2[r]);
-          std::swap(idx, ns[r]);
-        }
-      }
-    }
-    if (nd2[0] <= 1e-12) {
-      slot[0] = ns[0];  // exactly on a sample
-      continue;
-    }
-    double wsum = 0.0;
-    for (std::size_t r = 0; r < kSlots && nd2[r] < 1e300; ++r) {
-      const double w = 1.0 / nd2[r];  // inverse squared distance
-      slot[r] = ns[r];
-      weight_[kSlots * g + r] = w;
-      wsum += w;
-    }
-    blend_[g] = 1;
-    wsum_[g] = wsum;
+  if (kind == Interpolation::kNearest) {
+    // The Euclidean-nearest sample: the 1-slot insertion is the strict
+    // first minimum, so ties keep the earlier sample.
+    nearest_samples<1>(si, sj, n, height,
+                       [&](std::size_t g, const double*, const double* ns) {
+                         sample_[kSlots * g] = static_cast<std::size_t>(ns[0]);
+                       });
+    return;
   }
+  wsum_.assign(n, 0.0);
+  nearest_samples<kSlots>(
+      si, sj, n, height,
+      [&](std::size_t g, const double* nd2, const double* ns) {
+        std::size_t* slot = &sample_[kSlots * g];
+        if (nd2[0] <= 1e-12) {
+          slot[0] = static_cast<std::size_t>(ns[0]);  // exactly on a sample
+          return;
+        }
+        double wsum = 0.0;
+        for (std::size_t r = 0; r < kSlots && nd2[r] < 1e300; ++r) {
+          const double w = 1.0 / nd2[r];  // inverse squared distance
+          slot[r] = static_cast<std::size_t>(ns[r]);
+          weight_[kSlots * g + r] = w;
+          wsum += w;
+        }
+        blend_[g] = 1;
+        wsum_[g] = wsum;
+      });
 }
 
 Vector Upsilon::apply(std::span<const double> values) const {

@@ -5,10 +5,11 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 #include <fcntl.h>
 #include <unistd.h>
+
+#include "obs/metrics.h"
 
 namespace sensedroid::obs {
 
@@ -164,14 +165,6 @@ void crash_handler(int sig) {
   ::raise(sig);
 }
 
-std::string num(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
-}
-
 }  // namespace
 
 namespace fr_detail {
@@ -276,7 +269,7 @@ std::string FlightRecorder::dump_jsonl() {
              ",\"seq\":" + std::to_string(seq) + ",\"type\":\"" +
              std::string(event_name(static_cast<std::uint16_t>(meta >> 48))) +
              "\",\"arg\":" + std::to_string(static_cast<std::uint32_t>(meta)) +
-             ",\"value\":" + num(value) + "}\n";
+             ",\"value\":" + format_number(value) + "}\n";
     }
   }
   return out;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <sstream>
 #include <string_view>
 
 #include "obs/flight_recorder.h"
@@ -14,14 +13,6 @@ namespace {
 
 double clamp01(double v) noexcept {
   return std::clamp(std::isfinite(v) ? v : 0.0, 0.0, 1.0);
-}
-
-std::string num(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
 }
 
 /// Raw per-zone inputs accumulated from the source registry's samples.
@@ -168,16 +159,17 @@ std::string HealthEngine::to_json() {
   for (const ZoneHealth& z : zones) worst = std::min(worst, z.score);
   std::string out = "{\"verdict\":\"";
   out += verdict_for(worst);
-  out += "\",\"worst\":" + num(worst) + ",\"zones\":[";
+  out += "\",\"worst\":" + format_number(worst) + ",\"zones\":[";
   for (std::size_t i = 0; i < zones.size(); ++i) {
     const ZoneHealth& z = zones[i];
     if (i > 0) out += ',';
     out += "{\"id\":" + std::to_string(z.zone) +
-           ",\"score\":" + num(z.score) + ",\"latency\":" + num(z.latency) +
-           ",\"recovery\":" + num(z.recovery) +
-           ",\"availability\":" + num(z.availability) +
-           ",\"energy\":" + num(z.energy) + ",\"verdict\":\"" + z.verdict +
-           "\"}";
+           ",\"score\":" + format_number(z.score) +
+           ",\"latency\":" + format_number(z.latency) +
+           ",\"recovery\":" + format_number(z.recovery) +
+           ",\"availability\":" + format_number(z.availability) +
+           ",\"energy\":" + format_number(z.energy) +
+           ",\"verdict\":\"" + z.verdict + "\"}";
   }
   out += "]}";
   return out;

@@ -603,6 +603,13 @@ std::string MetricsRegistry::to_prometheus() const {
   return out;
 }
 
+std::string format_number(double v) {
+  if (!std::isfinite(v)) return "0";
+  std::string out;
+  append_number(out, v);
+  return out;
+}
+
 // ---------------------------------------------------------------------
 // Global attachment
 

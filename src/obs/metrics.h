@@ -246,6 +246,11 @@ class MetricsRegistry {
   Histogram overflow_histogram_;
 };
 
+/// `v` as printf's %.12g, the bytes an ostream at precision 12 writes
+/// ("-0" for negative zero), or "0" when `v` is NaN or infinite: the
+/// number format of the RunReport, span, health and flight-recorder JSON.
+std::string format_number(double v);
+
 // ---------------------------------------------------------------------
 // Global attachment point.  Default: detached (all helpers no-ops).
 

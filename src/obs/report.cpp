@@ -1,6 +1,5 @@
 #include "obs/report.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -9,14 +8,6 @@
 namespace sensedroid::obs {
 
 namespace {
-
-std::string num(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
-}
 
 HistSummary summarize(const MetricsRegistry& reg, std::string_view name) {
   HistSummary out;
@@ -33,8 +24,10 @@ HistSummary summarize(const MetricsRegistry& reg, std::string_view name) {
 
 std::string hist_json(const HistSummary& h) {
   return "{\"count\":" + std::to_string(h.count) + ",\"mean\":" +
-         num(h.mean) + ",\"p50\":" + num(h.p50) + ",\"p95\":" + num(h.p95) +
-         ",\"p99\":" + num(h.p99) + ",\"max\":" + num(h.max) + '}';
+         format_number(h.mean) + ",\"p50\":" + format_number(h.p50) +
+         ",\"p95\":" + format_number(h.p95) +
+         ",\"p99\":" + format_number(h.p99) +
+         ",\"max\":" + format_number(h.max) + '}';
 }
 
 std::string escape(std::string_view s) {
@@ -116,48 +109,48 @@ RunReport RunReport::from_registry(const MetricsRegistry& reg,
 std::string RunReport::to_json() const {
   std::string out = "{\"schema_version\":" + std::to_string(kSchemaVersion) +
                     ",\"campaign\":\"" + escape(campaign) + "\"";
-  out += ",\"sim\":{\"energy_total_j\":" + num(energy_total_j) +
-         ",\"energy_tx_j\":" + num(energy_tx_j) +
-         ",\"energy_rx_j\":" + num(energy_rx_j) +
-         ",\"energy_sensing_j\":" + num(energy_sensing_j) +
-         ",\"energy_compute_j\":" + num(energy_compute_j) +
-         ",\"radio_tx_bytes\":" + num(radio_tx_bytes) +
-         ",\"radio_rx_bytes\":" + num(radio_rx_bytes) +
-         ",\"radio_attempts\":" + num(radio_attempts) +
-         ",\"radio_drops\":" + num(radio_drops) +
-         ",\"events_executed\":" + num(sim_events) + '}';
-  out += ",\"middleware\":{\"broker_rounds\":" + num(broker_rounds) +
-         ",\"commands_sent\":" + num(broker_commands) +
-         ",\"replies_received\":" + num(broker_replies) +
-         ",\"radio_failures\":" + num(broker_failures) +
-         ",\"bytes\":" + num(broker_bytes) +
-         ",\"published\":" + num(pubsub_published) +
-         ",\"delivered\":" + num(pubsub_delivered) + '}';
-  out += ",\"cs\":{\"omp_solves\":" + num(omp_solves) +
-         ",\"omp_iterations\":" + num(omp_iterations) +
-         ",\"chs_solves\":" + num(chs_solves) +
-         ",\"chs_iterations\":" + num(chs_iterations) +
-         ",\"simplex_solves\":" + num(simplex_solves) +
-         ",\"simplex_pivots\":" + num(simplex_pivots) +
+  out += ",\"sim\":{\"energy_total_j\":" + format_number(energy_total_j) +
+         ",\"energy_tx_j\":" + format_number(energy_tx_j) +
+         ",\"energy_rx_j\":" + format_number(energy_rx_j) +
+         ",\"energy_sensing_j\":" + format_number(energy_sensing_j) +
+         ",\"energy_compute_j\":" + format_number(energy_compute_j) +
+         ",\"radio_tx_bytes\":" + format_number(radio_tx_bytes) +
+         ",\"radio_rx_bytes\":" + format_number(radio_rx_bytes) +
+         ",\"radio_attempts\":" + format_number(radio_attempts) +
+         ",\"radio_drops\":" + format_number(radio_drops) +
+         ",\"events_executed\":" + format_number(sim_events) + '}';
+  out += ",\"middleware\":{\"broker_rounds\":" + format_number(broker_rounds) +
+         ",\"commands_sent\":" + format_number(broker_commands) +
+         ",\"replies_received\":" + format_number(broker_replies) +
+         ",\"radio_failures\":" + format_number(broker_failures) +
+         ",\"bytes\":" + format_number(broker_bytes) +
+         ",\"published\":" + format_number(pubsub_published) +
+         ",\"delivered\":" + format_number(pubsub_delivered) + '}';
+  out += ",\"cs\":{\"omp_solves\":" + format_number(omp_solves) +
+         ",\"omp_iterations\":" + format_number(omp_iterations) +
+         ",\"chs_solves\":" + format_number(chs_solves) +
+         ",\"chs_iterations\":" + format_number(chs_iterations) +
+         ",\"simplex_solves\":" + format_number(simplex_solves) +
+         ",\"simplex_pivots\":" + format_number(simplex_pivots) +
          ",\"chs_residual_rel\":" + hist_json(chs_residual) +
          ",\"chs_solve_us\":" + hist_json(chs_solve_us) +
          ",\"omp_solve_us\":" + hist_json(omp_solve_us) + '}';
-  out += ",\"hierarchy\":{\"gather_rounds\":" + num(gather_rounds) +
-         ",\"nodes_commanded\":" + num(nodes_commanded) +
-         ",\"zones_gathered\":" + num(zones_gathered) +
-         ",\"uplink_bytes\":" + num(uplink_bytes) + '}';
-  out += ",\"fault\":{\"link_drops\":" + num(fault_link_drops) +
-         ",\"link_bursts\":" + num(fault_link_bursts) +
-         ",\"churn_absences\":" + num(fault_churn_absences) +
-         ",\"sensor_spikes\":" + num(fault_sensor_spikes) +
-         ",\"crashed_broker_rounds\":" + num(fault_crashed_rounds) +
-         ",\"failover_promotions\":" + num(failover_promotions) +
-         ",\"retry_attempts\":" + num(retry_attempts) +
-         ",\"retry_recovered\":" + num(retry_recovered) +
-         ",\"topup_requests\":" + num(topup_requests) +
-         ",\"topup_replies\":" + num(topup_replies) +
-         ",\"outliers_rejected\":" + num(outliers_rejected) + '}';
-  out += ",\"reconstruction_error\":" + num(reconstruction_error);
+  out += ",\"hierarchy\":{\"gather_rounds\":" + format_number(gather_rounds) +
+         ",\"nodes_commanded\":" + format_number(nodes_commanded) +
+         ",\"zones_gathered\":" + format_number(zones_gathered) +
+         ",\"uplink_bytes\":" + format_number(uplink_bytes) + '}';
+  out += ",\"fault\":{\"link_drops\":" + format_number(fault_link_drops) +
+         ",\"link_bursts\":" + format_number(fault_link_bursts) +
+         ",\"churn_absences\":" + format_number(fault_churn_absences) +
+         ",\"sensor_spikes\":" + format_number(fault_sensor_spikes) +
+         ",\"crashed_broker_rounds\":" + format_number(fault_crashed_rounds) +
+         ",\"failover_promotions\":" + format_number(failover_promotions) +
+         ",\"retry_attempts\":" + format_number(retry_attempts) +
+         ",\"retry_recovered\":" + format_number(retry_recovered) +
+         ",\"topup_requests\":" + format_number(topup_requests) +
+         ",\"topup_replies\":" + format_number(topup_replies) +
+         ",\"outliers_rejected\":" + format_number(outliers_rejected) + '}';
+  out += ",\"reconstruction_error\":" + format_number(reconstruction_error);
   out += ",\"metrics\":" +
          (metrics_json.empty() ? std::string("{}") : metrics_json);
   out += '}';

@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <sstream>
+
+#include "obs/metrics.h"
 
 namespace sensedroid::obs {
 
@@ -44,14 +44,6 @@ std::string jsonl_escape(std::string_view s) {
     }
   }
   return out;
-}
-
-std::string num(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
 }
 
 }  // namespace
@@ -114,9 +106,10 @@ std::string TraceLog::to_jsonl() const {
            ",\"parent\":" + std::to_string(s.parent) +
            ",\"depth\":" + std::to_string(s.depth) + ",\"name\":\"" +
            jsonl_escape(s.name) + "\",\"wall_start_us\":" +
-           num(s.wall_start_us) + ",\"wall_end_us\":" + num(s.wall_end_us) +
-           ",\"virtual_start\":" + num(s.virtual_start) +
-           ",\"virtual_end\":" + num(s.virtual_end) + "}\n";
+           format_number(s.wall_start_us) +
+           ",\"wall_end_us\":" + format_number(s.wall_end_us) +
+           ",\"virtual_start\":" + format_number(s.virtual_start) +
+           ",\"virtual_end\":" + format_number(s.virtual_end) + "}\n";
   }
   return out;
 }

@@ -219,6 +219,54 @@ TEST(Interpolation, StencilMatchesOracleBitForBit) {
   EXPECT_GT(ties, 0u);
 }
 
+// The same differential check on the grids the 2-D kinds run on in a
+// campaign: the 16x16 and 8x8 zones, plus shapes whose n is not a
+// multiple of the stencil build's block of grid points (5x7, one row,
+// one column), at the zones' sampling ratios m = n/4 and m = 20/64 n and
+// at uniform m.
+TEST(Interpolation, StencilMatchesOracleOnZoneShapes) {
+  namespace ts = sensedroid::test_support;
+  constexpr int kDraws = 1200;
+  sl::Rng rng(20261018);
+  std::size_t tails = 0, ties = 0;
+  for (int d = 0; d < kDraws; ++d) {
+    std::size_t width = 0, height = 0;
+    switch (rng.uniform_index(5)) {
+      case 0: width = height = 16; break;
+      case 1: width = height = 8; break;
+      case 2: width = 5; height = 7; break;
+      case 3: width = 1 + rng.uniform_index(40); height = 1; break;
+      default: width = 1; height = 1 + rng.uniform_index(40); break;
+    }
+    const std::size_t n = width * height;
+    tails += n % 8 != 0;
+    std::size_t m = 0;
+    switch (rng.uniform_index(3)) {
+      case 0: m = n / 4; break;
+      case 1: m = n * 20 / 64; break;
+      default: m = 1 + rng.uniform_index(n); break;
+    }
+    m = std::max<std::size_t>(m, 1);
+    const auto loc = rng.sample_without_replacement(n, m);
+    const auto kind = rng.bernoulli(0.5) ? sc::Interpolation::kLinear
+                                         : sc::Interpolation::kNearest;
+    ties += has_equidistant_nearest(loc, n, height);
+
+    const sc::Upsilon upsilon(loc, n, height, kind);
+    for (int rep = 0; rep < 2; ++rep) {
+      sl::Vector v(m);
+      for (double& x : v) x = rng.gaussian(0.0, rep == 0 ? 1.0 : 1e3);
+      const auto want =
+          ts::oracle_interpolate_to_grid_2d(v, loc, n, height, kind);
+      ASSERT_TRUE(same_bits(upsilon.apply(v), want))
+          << "draw " << d << " rep " << rep << " " << height << "x" << width
+          << " m=" << m << " kind=" << static_cast<int>(kind);
+    }
+  }
+  EXPECT_GT(tails, 0u);
+  EXPECT_GT(ties, 0u);
+}
+
 // --------------------------------------------------------------- CHS ----
 
 TEST(Chs, RecoversSparseSignalNoiseFree) {

@@ -784,6 +784,48 @@ TEST_F(ObsTest, PrometheusRenderMatchesOracleByteForByte) {
   EXPECT_GT(specials, 100u);
 }
 
+// The shared JSON number format against the per-file ostream formatter
+// it replaced: %.12g through an ostream at precision 12, "0" for NaN and
+// infinities.  Draws add integers on both sides of 1e12 and 2^53 to the
+// renderer draws' edge values.
+TEST_F(ObsTest, FormatNumberMatchesOstreamByteForByte) {
+  const auto reference = [](double v) -> std::string {
+    if (!std::isfinite(v)) return "0";
+    std::ostringstream os;
+    os.precision(12);
+    os << v;
+    return os.str();
+  };
+  constexpr int kDraws = 1200;
+  RegistryDraw draw(20261018);
+  std::size_t non_finite = 0, signed_zero = 0, denormal = 0, huge = 0;
+  std::size_t near_1e12 = 0, near_2p53 = 0;
+  for (int d = 0; d < kDraws; ++d) {
+    double v = draw.value();
+    if (draw.coin(0.25)) {
+      const bool at_1e12 = draw.coin(0.5);
+      const double centre = at_1e12 ? 1e12 : 9007199254740992.0;
+      v = (centre + static_cast<double>(draw.index(9)) - 4.0) *
+          (draw.coin(0.5) ? 1.0 : -1.0);
+      near_1e12 += at_1e12;
+      near_2p53 += !at_1e12;
+    }
+    non_finite += !std::isfinite(v);
+    signed_zero += v == 0.0 && std::signbit(v);
+    denormal += std::fpclassify(v) == FP_SUBNORMAL;
+    huge += std::isfinite(v) && std::fabs(v) >= 1e308;
+    const std::string got = obs::format_number(v);
+    const std::string want = reference(v);
+    ASSERT_EQ(got, want) << "draw " << d;
+  }
+  EXPECT_GT(non_finite, 0u);
+  EXPECT_GT(signed_zero, 0u);
+  EXPECT_GT(denormal, 0u);
+  EXPECT_GT(huge, 0u);
+  EXPECT_GT(near_1e12, 0u);
+  EXPECT_GT(near_2p53, 0u);
+}
+
 TEST_F(ObsTest, RunReportSchemaGolden) {
   obs::MetricsRegistry reg;
   const auto report = obs::RunReport::from_registry(
