@@ -1,303 +1,169 @@
 #!/usr/bin/env python3
-"""Perf-trajectory guard over the committed solver benchmark JSONL.
+"""Perf guards over the committed benchmark trajectories (BENCH_*.json).
 
-BENCH_solvers.json accumulates one trajectory point per benchmarked
-change (bench/micro_solvers appends them; see DESIGN.md).  This script
-compares, for every solver key, the two most recent points that report
-that solver and fails when the newest median regressed by more than the
-threshold (default 25%).  It runs as a tier-1 ctest, so a PR that lands
-a slower solver median without also updating the trajectory story fails
-the default lane.
+Each BENCH_*.json file is JSONL: one trajectory point per benchmarked
+change, appended by the bench binary that measured it (see DESIGN.md).
+Every bound the guards enforce is one row of GATES below; a tier-1 ctest
+of the same name runs each guard.  The guards never time anything: they
+read committed points, so they are immune to builder noise, and an
+honest new point that shows a regression is exactly what makes one fire.
 
-The check is trajectory-vs-trajectory, not a live measurement: it never
-times anything, so it is immune to builder noise.  Appending an honest
-new point that shows a regression is exactly what makes it fire.
+A row names its keys in one of four ways:
+  "name"                 the newest value of that key;
+  "num/den"              the newest num over the newest den;
+  "*_armed/*_detached"   every <stem>_armed over its <stem>_detached;
+  "*"                    (trajectory rows only) every key in the file.
+and has one of three kinds:
+  ceiling     value <= bound;
+  floor       value >= bound;
+  trajectory  newest point / the point before it <= bound, per key; a
+              key with a single point has nothing to compare.
 
-With --overhead the contract changes: instead of comparing the newest
-two points per key, the NEWEST point is checked internally — every
-`<name>_armed` median is paired with its `<name>_detached` sibling and
-the check fails when armed exceeds detached by more than the ratio
-(default 1.05).  BENCH_obs.json uses this to gate the armed telemetry
-stack at 5% overhead on the solver hot path.
+"Newest" is the newest value of each key, not the newest line: a point
+may carry only some keys (BENCH_obs.json pairs omp_* from one point and
+ckpt_round_* from a later one).  A point's values come from "median_us"
+or "metrics" (for values that are not latencies, such as frames/s);
+"state_bytes" is reporting and is never gated.
 
-With --recovery the newest `checkpoint_write_us` and
-`checkpoint_restore_us` medians are bounded absolutely (defaults 50 ms
-and 250 ms): a checkpoint that stalls the campaign for longer than that
-is a fault of its own, not crash-safety.  bench/exp_checkpoint appends
-the trajectory points this mode reads.
-
-With --gateway the newest point's `gw_frames_per_s` is bounded from
-BELOW (default 100k frames/s — the ingest daemon's loopback floor) and
-`gw_p99_ingest_us` from above (default 20 ms).  BENCH_gateway.json
-carries these under a "metrics" key rather than "median_us" because a
-throughput is not a latency; load_series accepts either spelling.
-
-With --batch the newest point's batch/operator speedups are bounded from
-below: `omp_b1 / omp_b64` (per-signal cost, sequential vs batch-of-64)
-must be at least the batch floor (default 3.0x) and
-`sweep_dense_n4096 / sweep_fastdct_n4096` (one A^T r correlation sweep,
-dense matrix vs fast-DCT operator) at least the operator floor (default
-5.0x).  bench/micro_solvers appends the "batch_ops" trajectory points
-this mode reads; the plain trajectory mode additionally gates every one
-of those keys against its previous point like any other series.
-
-A gate never passes on nothing: a missing, unparseable, empty or
-blank-only file is exit 2 in every mode.
-
-Usage: check_regression.py [--overhead|--recovery|--gateway|--batch]
-                           [path-to-jsonl]
-                           [max-ratio | max-write-us max-restore-us |
-                            min-frames-per-s max-p99-us |
-                            min-batch-speedup min-operator-speedup]
-Exit codes: 0 ok, 1 regression found, 2 malformed input.
+Usage: check_regression.py GUARD [path-to-jsonl]
+The path overrides the row's file, which is otherwise read from the repo
+root.  Exit codes: 0 ok, 1 out of bounds, 2 malformed, missing, empty or
+blank input, a key a row names is absent, or an unknown guard.
 """
 
+import collections
 import json
+import os
 import sys
+
+Gate = collections.namedtuple("Gate", "guard file key kind bound")
+
+GATES = [
+    # Every solver median within 25% of its previous trajectory point.
+    Gate("bench_regression_guard", "BENCH_solvers.json", "*",
+         "trajectory", 1.25),
+    # Batch-of-64 OMP pays for itself; the fast-DCT operator beats dense.
+    Gate("solver_batch_guard", "BENCH_solvers.json", "omp_b1/omp_b64",
+         "floor", 3.0),
+    Gate("solver_batch_guard", "BENCH_solvers.json",
+         "sweep_dense_n4096/sweep_fastdct_n4096", "floor", 5.0),
+    # The armed telemetry stack costs at most 5% over detached.
+    Gate("obs_overhead_guard", "BENCH_obs.json", "*_armed/*_detached",
+         "ceiling", 1.05),
+    # A checkpoint that stalls the campaign longer is a fault of its own.
+    Gate("recovery_latency_guard", "BENCH_obs.json", "checkpoint_write_us",
+         "ceiling", 50_000.0),
+    Gate("recovery_latency_guard", "BENCH_obs.json", "checkpoint_restore_us",
+         "ceiling", 250_000.0),
+    # The ingest daemon's loopback floor and its p99 latency cap.
+    Gate("gateway_regression_guard", "BENCH_gateway.json", "gw_frames_per_s",
+         "floor", 100_000.0),
+    Gate("gateway_regression_guard", "BENCH_gateway.json", "gw_p99_ingest_us",
+         "ceiling", 20_000.0),
+]
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class BadInput(Exception):
+    """Input a guard cannot judge: exit 2."""
 
 
 def load_series(path):
-    """Maps solver name -> list of (label, median_us) in file order."""
+    """Maps key -> list of (label, value) in file order."""
     series = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                point = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SystemExit(
-                    f"check_regression: {path}:{lineno}: bad JSON: {exc}"
-                ) from exc
-            label = point.get("label", f"line {lineno}")
-            # "median_us" is the historical key; "metrics" is the honest
-            # spelling for points whose values are not latencies (e.g.
-            # BENCH_gateway.json's frames/s).  A point may use either.
-            for key in ("median_us", "metrics"):
-                values = point.get(key, {})
-                if not isinstance(values, dict):
-                    raise SystemExit(
-                        f"check_regression: {path}:{lineno}: {key} is not "
-                        "an object"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise BadInput(f"cannot read {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            point = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise BadInput(f"{path}:{lineno}: bad JSON: {exc}") from exc
+        label = point.get("label", f"line {lineno}")
+        for field in ("median_us", "metrics"):
+            values = point.get(field, {})
+            if not isinstance(values, dict):
+                raise BadInput(f"{path}:{lineno}: {field} is not an object")
+            for name, value in values.items():
+                if not isinstance(value, (int, float)) or value <= 0:
+                    raise BadInput(
+                        f"{path}:{lineno}: bad value for {name!r}: {value!r}"
                     )
-                for name, value in values.items():
-                    if not isinstance(value, (int, float)) or value <= 0:
-                        raise SystemExit(
-                            f"check_regression: {path}:{lineno}: bad value "
-                            f"for {name!r}: {value!r}"
-                        )
-                    series.setdefault(name, []).append((label, float(value)))
+                series.setdefault(name, []).append((label, float(value)))
+    if not series:
+        raise BadInput(f"no trajectory points in {path}")
     return series
 
 
-def check_overhead(series, max_ratio):
-    """Pairs <name>_armed with <name>_detached in the newest point."""
+def expand(key, series):
+    """The (name, numerator, denominator-or-None) checks a row's key names."""
+    if key == "*":
+        return [(k, k, None) for k in sorted(series)]
+    num, _, den = key.partition("/")
+    if num.startswith("*"):
+        tail, den_tail = num[1:], den[1:]
+        stems = [k[: -len(tail)] for k in sorted(series) if k.endswith(tail)]
+        return [(s, s + tail, s + den_tail) for s in stems]
+    return [(key, num, den or None)]
+
+
+def evaluate(gate, series):
+    """Prints one line per check; returns the names out of bounds."""
+    checks = expand(gate.key, series)
+    if not checks:
+        raise BadInput(f"no key matches {gate.key!r}")
     failures = []
-    checked = 0
-    for key in sorted(series):
-        if not key.endswith("_armed"):
-            continue
-        sibling = key[: -len("_armed")] + "_detached"
-        if sibling not in series:
-            print(f"  {key}: no {sibling} sibling, skipped")
-            continue
-        armed_label, armed = series[key][-1]
-        _, detached = series[sibling][-1]
-        checked += 1
-        ratio = armed / detached if detached > 0 else float("inf")
-        verdict = "OVER BUDGET" if ratio > max_ratio else "ok"
-        print(
-            f"  {key[: -len('_armed')]}: detached {detached:.3f} us, armed "
-            f"{armed:.3f} us ({armed_label})  {ratio:.3f}x  {verdict}"
-        )
-        if ratio > max_ratio:
-            failures.append(key)
-    if not checked:
-        print("check_regression: no armed/detached pairs found")
-        return 2
-    if failures:
-        print(
-            f"check_regression: FAIL — {', '.join(failures)} exceed the "
-            f"{(max_ratio - 1.0) * 100.0:.0f}% armed-observability budget"
-        )
-        return 1
-    print("check_regression: ok")
-    return 0
-
-
-def check_recovery(series, max_write_us, max_restore_us):
-    """Bounds the newest checkpoint write/restore medians absolutely."""
-    budgets = {
-        "checkpoint_write_us": max_write_us,
-        "checkpoint_restore_us": max_restore_us,
-    }
-    failures = []
-    checked = 0
-    for key, budget in budgets.items():
-        if key not in series:
-            print(f"  {key}: no trajectory point, skipped")
-            continue
-        label, value = series[key][-1]
-        checked += 1
-        verdict = "OVER BUDGET" if value > budget else "ok"
-        print(f"  {key}: {value:.3f} us ({label})  budget {budget:.0f} us  "
-              f"{verdict}")
-        if value > budget:
-            failures.append(key)
-    if not checked:
-        print("check_regression: no checkpoint latency keys found")
-        return 2
-    if failures:
-        print(
-            f"check_regression: FAIL — {', '.join(failures)} exceed the "
-            "checkpoint latency budget"
-        )
-        return 1
-    print("check_regression: ok")
-    return 0
-
-
-def check_gateway(series, min_frames_per_s, max_p99_us):
-    """Bounds the newest gateway point: throughput floor, latency cap."""
-    gates = [
-        ("gw_frames_per_s", min_frames_per_s, "floor", "frames/s"),
-        ("gw_p99_ingest_us", max_p99_us, "cap", "us"),
-    ]
-    failures = []
-    checked = 0
-    for key, bound, kind, unit in gates:
-        if key not in series:
-            print(f"  {key}: no trajectory point, skipped")
-            continue
-        label, value = series[key][-1]
-        checked += 1
-        bad = value < bound if kind == "floor" else value > bound
-        verdict = "OUT OF BOUNDS" if bad else "ok"
-        print(f"  {key}: {value:.3f} {unit} ({label})  {kind} {bound:.0f} "
-              f"{unit}  {verdict}")
+    for name, num, den in checks:
+        absent = [k for k in (num, den) if k is not None and k not in series]
+        if absent:
+            raise BadInput(f"{name}: no {absent[0]} trajectory point")
+        label, value = series[num][-1]
+        if gate.kind == "trajectory":
+            if len(series[num]) < 2:
+                print(f"  {name}: single point, nothing to compare")
+                continue
+            prev_label, prev = series[num][-2]
+            detail = f"{prev:.3f} ({prev_label}) -> {value:.3f} ({label})"
+            value /= prev
+        elif den is not None:
+            detail = f"{value:.3f} / {series[den][-1][1]:.3f} ({label})"
+            value /= series[den][-1][1]
+        else:
+            detail = f"{value:.3f} ({label})"
+        bad = (value < gate.bound if gate.kind == "floor"
+               else value > gate.bound)
+        print(f"  {name}: {detail} = {value:.3f}  {gate.kind} {gate.bound:g}"
+              f"  {'OUT OF BOUNDS' if bad else 'ok'}")
         if bad:
-            failures.append(key)
-    if not checked:
-        print("check_regression: no gateway keys found")
-        return 2
-    if failures:
-        print(
-            f"check_regression: FAIL — {', '.join(failures)} outside the "
-            "gateway ingest budget"
-        )
-        return 1
-    print("check_regression: ok")
-    return 0
-
-
-def check_batch(series, min_batch_speedup, min_operator_speedup):
-    """Floors the newest point's batch and operator speedup ratios."""
-    gates = [
-        ("omp_b1", "omp_b64", min_batch_speedup, "batch-of-64"),
-        (
-            "sweep_dense_n4096",
-            "sweep_fastdct_n4096",
-            min_operator_speedup,
-            "fast-DCT sweep",
-        ),
-    ]
-    failures = []
-    checked = 0
-    for slow_key, fast_key, floor, what in gates:
-        if slow_key not in series or fast_key not in series:
-            missing = slow_key if slow_key not in series else fast_key
-            print(f"  {what}: no {missing} trajectory point, skipped")
-            continue
-        label, slow = series[slow_key][-1]
-        _, fast = series[fast_key][-1]
-        checked += 1
-        speedup = slow / fast if fast > 0 else float("inf")
-        bad = speedup < floor
-        verdict = "UNDER FLOOR" if bad else "ok"
-        print(
-            f"  {what}: {slow_key} {slow:.3f} us / {fast_key} {fast:.3f} us "
-            f"({label})  {speedup:.2f}x  floor {floor:.1f}x  {verdict}"
-        )
-        if bad:
-            failures.append(what)
-    if not checked:
-        print("check_regression: no batch/operator speedup pairs found")
-        return 2
-    if failures:
-        print(
-            f"check_regression: FAIL — {', '.join(failures)} below the "
-            "batch/operator speedup floor"
-        )
-        return 1
-    print("check_regression: ok")
-    return 0
+            failures.append(name)
+    return failures
 
 
 def main(argv):
-    argv = list(argv)
-    overhead = "--overhead" in argv
-    if overhead:
-        argv.remove("--overhead")
-    recovery = "--recovery" in argv
-    if recovery:
-        argv.remove("--recovery")
-    gateway = "--gateway" in argv
-    if gateway:
-        argv.remove("--gateway")
-    batch = "--batch" in argv
-    if batch:
-        argv.remove("--batch")
-    path = argv[1] if len(argv) > 1 else "BENCH_solvers.json"
-    default_ratio = 1.05 if overhead else 1.25
-    max_ratio = float(argv[2]) if len(argv) > 2 else default_ratio
-    try:
-        series = load_series(path)
-    except OSError as exc:
-        print(f"check_regression: cannot read {path}: {exc}")
+    guards = sorted({g.guard for g in GATES})
+    if len(argv) not in (2, 3) or argv[1] not in guards:
+        print(f"usage: check_regression.py {{{'|'.join(guards)}}} [path]")
         return 2
-    if not series:
-        print(f"check_regression: no trajectory points in {path}")
-        return 2
-    if batch:
-        min_batch = float(argv[2]) if len(argv) > 2 else 3.0
-        min_operator = float(argv[3]) if len(argv) > 3 else 5.0
-        return check_batch(series, min_batch, min_operator)
-    if gateway:
-        min_frames = float(argv[2]) if len(argv) > 2 else 100_000.0
-        max_p99 = float(argv[3]) if len(argv) > 3 else 20_000.0
-        return check_gateway(series, min_frames, max_p99)
-    if recovery:
-        max_write = float(argv[2]) if len(argv) > 2 else 50_000.0
-        max_restore = float(argv[3]) if len(argv) > 3 else 250_000.0
-        return check_recovery(series, max_write, max_restore)
-    if overhead:
-        return check_overhead(series, max_ratio)
-
+    guard = argv[1]
+    override = argv[2] if len(argv) == 3 else None
     failures = []
-    for solver in sorted(series):
-        points = series[solver]
-        if len(points) < 2:
-            print(f"  {solver}: single point, nothing to compare")
-            continue
-        (prev_label, prev), (last_label, last) = points[-2], points[-1]
-        change = (last / prev - 1.0) * 100.0
-        verdict = "REGRESSED" if last > prev * max_ratio else "ok"
-        print(
-            f"  {solver}: {prev:.3f} us ({prev_label}) -> {last:.3f} us "
-            f"({last_label})  {change:+.1f}%  {verdict}"
-        )
-        if last > prev * max_ratio:
-            failures.append(solver)
-
+    try:
+        for gate in (g for g in GATES if g.guard == guard):
+            path = override or os.path.join(REPO_ROOT, gate.file)
+            failures += evaluate(gate, load_series(path))
+    except BadInput as exc:
+        print(f"check_regression: {guard}: {exc}")
+        return 2
     if failures:
-        print(
-            f"check_regression: FAIL — {', '.join(failures)} regressed more "
-            f"than {(max_ratio - 1.0) * 100.0:.0f}% between the latest two "
-            "trajectory points"
-        )
+        print(f"check_regression: {guard}: FAIL — {', '.join(failures)} "
+              "out of bounds")
         return 1
-    print("check_regression: ok")
+    print(f"check_regression: {guard}: ok")
     return 0
 
 

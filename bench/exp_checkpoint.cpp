@@ -25,10 +25,10 @@
 //
 // Emits one BENCH_obs.json trajectory point (JSONL on stdout, or
 // appended to $SENSEDROID_REPORT when set).  Two tier-1 gates read it:
-// check_regression.py --overhead pairs ckpt_round_armed with
-// ckpt_round_detached (5% budget, same contract as the obs stack), and
-// --recovery bounds checkpoint_write_us / checkpoint_restore_us
-// absolutely (a checkpoint that takes longer than a round is not a
+// obs_overhead_guard pairs ckpt_round_armed with ckpt_round_detached
+// (5% budget, same contract as the obs stack), and
+// recovery_latency_guard bounds checkpoint_write_us /
+// checkpoint_restore_us absolutely (a checkpoint that takes longer than a round is not a
 // checkpoint, it is a stall).
 #include <algorithm>
 #include <chrono>

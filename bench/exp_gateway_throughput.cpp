@@ -24,8 +24,8 @@
 // Emits one BENCH_gateway.json trajectory point (JSONL on stdout, or
 // appended to $SENSEDROID_REPORT when set) under a "metrics" key —
 // frames/s is not a latency, so it does not ride "median_us".  The
-// tier-1 gate reads it with check_regression.py --gateway, which bounds
-// gw_frames_per_s from below (>= 100k) and gw_p99_ingest_us from above.
+// tier-1 gateway_regression_guard reads it and bounds gw_frames_per_s
+// from below (>= 100k) and gw_p99_ingest_us from above.
 #include <sys/socket.h>
 #include <unistd.h>
 

@@ -16,9 +16,9 @@
 // appended to $SENSEDROID_REPORT when set):
 //   {"label":"...","median_us":{"omp_detached":..,"omp_armed":..,
 //    "campaign_round_quiet":..,"campaign_round_scraped":..}}
-// check_regression.py --overhead pairs each *_armed with its
-// *_detached sibling in the NEWEST point and fails above the ratio, so
-// the omp pair is the tier-1 5% gate.  The campaign pair is
+// obs_overhead_guard pairs the newest value of each *_armed key with
+// that of its *_detached sibling and fails above the ratio, so the omp
+// pair is the tier-1 5% gate.  The campaign pair is
 // deliberately named outside the pairing rule: it compares a fully
 // dark round against shard-merging + live-scraped telemetry on a
 // sub-millisecond fixture round, where the fixed per-round merge cost

@@ -26,6 +26,7 @@
 #include "linalg/random.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "support/tableau_oracle.h"
 
 using namespace sensedroid;
 
@@ -271,9 +272,10 @@ bool write_fig4_regime_json() {
   // basis is accepted and phase 2 terminates after one confirming price
   // (a perturbed-RHS warm basis is generally primal infeasible and falls
   // back to the crash start, i.e. it measures "bp" again); "bp_tableau"
-  // is the dense-tableau oracle, kept in the trajectory as the baseline
-  // the revised engine is measured against (and run at reps/8: it is
-  // orders of magnitude slower and its median stabilizes quickly).
+  // is the dense-tableau test oracle (tests/support/tableau_oracle.h),
+  // kept in the trajectory as the baseline the revised engine is
+  // measured against (and run at reps/8: it is orders of magnitude
+  // slower and its median stabilizes quickly).
   const double bp_us = median_solve_us(reps, [&] {
     benchmark::DoNotOptimize(cs::bp_solve(a, y));
   });
@@ -285,10 +287,8 @@ bool write_fig4_regime_json() {
     benchmark::DoNotOptimize(cs::bp_solve(a, y, warm_opts));
   });
 
-  cs::BasisPursuitOptions tableau_opts;
-  tableau_opts.lp.engine = cs::SimplexEngine::kTableau;
   const double bp_tableau_us = median_solve_us(reps / 8, [&] {
-    benchmark::DoNotOptimize(cs::bp_solve(a, y, tableau_opts));
+    benchmark::DoNotOptimize(test_support::oracle_tableau_solve_bp(a, y));
   });
 
   // Appends one JSONL trajectory point per run ($SENSEDROID_BENCH_LABEL
@@ -323,8 +323,8 @@ bool write_fig4_regime_json() {
 }
 
 // ---------------------------------------------------------------------
-// Batch + operator trajectory point (the PR-10 series, gated by
-// check_regression.py --batch and by the plain trajectory mode):
+// Batch + operator trajectory point (gated by solver_batch_guard and
+// by bench_regression_guard's trajectory row):
 //
 //   omp_bB            per-signal median us of omp_solve_batch over B
 //                     signals in the Fig. 4 regime — the B=1 point is the

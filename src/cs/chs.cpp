@@ -406,8 +406,7 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
                    const ChsOptions& opts) {
   const std::size_t m = meas.plan.measurement_count();
 
-  obs::ScopedSpan span("cs.chs.reconstruct");
-  obs::ScopedTimer timer("cs.chs.solve_us");
+  obs::ScopedSpan span("cs.chs.reconstruct", "cs.chs.solve_us");
 
   // Step (e)'s coefficient solver comes from the registry, resolved once
   // per call; the solver instance is stateless and reentrant.

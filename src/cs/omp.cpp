@@ -443,8 +443,7 @@ SparseSolution omp_solve(const linalg::LinearOperator& a,
   const std::size_t k_max =
       opts.max_sparsity == 0 ? std::min(m, n)
                              : std::min({opts.max_sparsity, m, n});
-  obs::ScopedSpan span("cs.omp.solve");
-  obs::ScopedTimer timer("cs.omp.solve_us");
+  obs::ScopedSpan span("cs.omp.solve", "cs.omp.solve_us");
 
   // One scratch block for the per-candidate arrays (correlations, the
   // argmax scratch, the eligibility scale) and the picked-column copy:
@@ -578,8 +577,7 @@ std::vector<SparseSolution> omp_solve_batch(const Matrix& a,
   const std::size_t k_max =
       opts.max_sparsity == 0 ? std::min(m, n)
                              : std::min({opts.max_sparsity, m, n});
-  obs::ScopedSpan span("cs.omp.solve_batch");
-  obs::ScopedTimer timer("cs.omp.solve_batch_us");
+  obs::ScopedSpan span("cs.omp.solve_batch", "cs.omp.solve_batch_us");
 
   // Shared eligibility template: reciprocal squared column norms, built
   // once for the whole batch.  sqnorm == 0 iff a column is identically

@@ -1,20 +1,18 @@
-// Two-phase primal simplex solvers for standard-form linear programs:
+// Two-phase primal simplex solver for standard-form linear programs:
 //
 //     minimize    c^T x
 //     subject to  A x = b,  x >= 0.
 //
 // Written from scratch because the paper's L1 reconstruction (eqs. 9-10)
 // "can be re-formulated as a Linear Programming problem and solved
-// efficiently"; this is that LP engine.  Two interchangeable engines:
-//
-//  - kRevised (default): revised simplex over an m x m LU-factorized
-//    basis (linalg::UpdatableLU, Bartels-Golub column replacement,
-//    periodic refactorization), Dantzig or static steepest-edge pricing
-//    with an automatic Bland fallback after a degenerate-pivot streak,
-//    and warm starting from an exported basis.  Per pivot: O(m^2) basis
-//    work + one pricing sweep — the 2n-wide tableau is never formed.
-//  - kTableau: the original dense tableau with Bland's rule, kept as the
-//    slow-but-simple oracle for equivalence tests.
+// efficiently"; this is that LP engine: a revised simplex over an m x m
+// LU-factorized basis (linalg::UpdatableLU, Bartels-Golub column
+// replacement, periodic refactorization), Dantzig or static
+// steepest-edge pricing with an automatic Bland fallback after a
+// degenerate-pivot streak, and warm starting from an exported basis.
+// Per pivot: O(m^2) basis work + one pricing sweep — the 2n-wide
+// tableau is never formed.  The original dense tableau with Bland's
+// rule is the equivalence oracle in tests/support/tableau_oracle.h.
 //
 // simplex_solve_bp solves the basis-pursuit LP min 1^T [u; v] subject to
 // [A, -A] [u; v] = y directly from the m x n dictionary: the +/- column
@@ -54,16 +52,9 @@ enum class LpStatus : std::uint8_t {
 /// Human-readable status name.
 const char* to_string(LpStatus status);
 
-/// Which pivoting machinery runs the solve.
-enum class SimplexEngine : std::uint8_t {
-  kRevised,  ///< LU-factorized basis, Dantzig/steepest-edge pricing
-  kTableau,  ///< dense tableau, Bland's rule (the equivalence oracle)
-};
-
-/// Entering-variable rule of the revised engine (the tableau engine is
-/// always Bland).  Every rule auto-falls-back to Bland after a streak of
-/// degenerate pivots and returns to its own rule once progress resumes —
-/// the anti-cycling guarantee without Bland's slow tail.
+/// Entering-variable rule.  Every rule auto-falls-back to Bland after a
+/// streak of degenerate pivots and returns to its own rule once progress
+/// resumes — the anti-cycling guarantee without Bland's slow tail.
 enum class SimplexPricing : std::uint8_t {
   kDantzig,       ///< most negative reduced cost
   kSteepestEdge,  ///< reduced cost scaled by 1/sqrt(1 + ||a_j||^2),
@@ -85,22 +76,21 @@ struct LpSolution {
 struct SimplexOptions {
   std::size_t max_iterations = 0;  ///< 0 = auto (scales with problem size)
   double tol = 1e-9;               ///< pivot / feasibility tolerance
-  SimplexEngine engine = SimplexEngine::kRevised;
   SimplexPricing pricing = SimplexPricing::kDantzig;
-  /// Revised engine: refactorize the basis LU from scratch after this
-  /// many Bartels-Golub updates (bounds operation-log fill; instability
+  /// Refactorize the basis LU from scratch after this many
+  /// Bartels-Golub updates (bounds operation-log fill; instability
   /// triggers refactorization regardless).  The default sits at the
   /// measured knee for sensing-sized bases (m ~ 30): shorter intervals
   /// waste O(m^3) refactorizations, longer ones drag every FTRAN/BTRAN
   /// through a deep operation log.
   std::size_t refactor_interval = 16;
-  /// Starting basis for the revised engine (ids as in LpSolution::basis;
-  /// empty = cold start).  Accepted when it is nonsingular and primal
-  /// feasible for this b — then phase 1 is skipped entirely; otherwise
-  /// the solve silently falls back to a cold start.
+  /// Starting basis (ids as in LpSolution::basis; empty = cold start).
+  /// Accepted when it is nonsingular and primal feasible for this b —
+  /// then phase 1 is skipped entirely; otherwise the solve silently
+  /// falls back to a cold start.
   std::vector<std::size_t> warm_basis;
-  /// Cooperative cancellation, polled once per pivot (both engines);
-  /// returns LpStatus::kCancelled.  nullptr = never cancel.
+  /// Cooperative cancellation, polled once per pivot; returns
+  /// LpStatus::kCancelled.  nullptr = never cancel.
   const CancelToken* cancel = nullptr;
 };
 
@@ -110,10 +100,9 @@ LpSolution simplex_solve(const LpProblem& problem,
 
 /// Solves the basis-pursuit LP min 1^T [u; v] s.t. [A, -A][u; v] = y with
 /// u, v >= 0, where `a` is the m x n dictionary.  The returned x has
-/// length 2n (u first, then v); basis ids live in [0, 2n + m).  The
-/// revised engine prices all 2n columns from one A^T w sweep and never
-/// materializes the doubled matrix; kTableau builds it explicitly (the
-/// oracle).  Throws std::invalid_argument on shape mismatches.
+/// length 2n (u first, then v); basis ids live in [0, 2n + m).  All 2n
+/// columns are priced from one A^T w sweep; the doubled matrix is never
+/// materialized.  Throws std::invalid_argument on shape mismatches.
 LpSolution simplex_solve_bp(const Matrix& a, std::span<const double> y,
                             const SimplexOptions& opts = {});
 

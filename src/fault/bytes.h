@@ -31,6 +31,11 @@ class CodecError : public std::runtime_error {
 /// Append-only encoder.
 class ByteWriter {
  public:
+  /// Starts with room for a header and a few fields, so no write grows
+  /// an unallocated vector: GCC 12 at -O3 reports a false
+  /// -Wstringop-overflow on that path, in the plain and sanitizer builds.
+  ByteWriter() { buf_.reserve(64); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v) { little_endian<4>(v); }
   void u64(std::uint64_t v) { little_endian<8>(v); }

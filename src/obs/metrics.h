@@ -18,7 +18,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -358,28 +357,5 @@ void set_gauge(SeriesCache& site, std::string_view name, const Labels& labels,
                double v) noexcept;
 void observe(SeriesCache& site, std::string_view name, const Labels& labels,
              double v) noexcept;
-
-/// RAII timer: observes elapsed microseconds into histogram `name` on
-/// destruction.  Captures nothing (not even the clock) when detached at
-/// construction.  `name` must outlive the timer (pass a literal).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string_view name) noexcept
-      : name_(name), active_(attached()) {
-    if (active_) t0_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedTimer() {
-    if (!active_) return;
-    const auto dt = std::chrono::steady_clock::now() - t0_;
-    observe(name_, std::chrono::duration<double, std::micro>(dt).count());
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  std::string_view name_;
-  bool active_;
-  std::chrono::steady_clock::time_point t0_{};
-};
 
 }  // namespace sensedroid::obs

@@ -200,7 +200,8 @@ double virtual_now() noexcept {
   return g_virtual_now.load(std::memory_order_relaxed);
 }
 
-ScopedSpan::ScopedSpan(std::string_view name) noexcept {
+ScopedSpan::ScopedSpan(std::string_view name,
+                       std::string_view histogram) noexcept {
   if (TraceLog* log = trace_sink()) {
     try {
       id_ = log->begin(name);
@@ -209,9 +210,18 @@ ScopedSpan::ScopedSpan(std::string_view name) noexcept {
       log_ = nullptr;
     }
   }
+  if (!histogram.empty() && attached()) {
+    histogram_ = histogram;
+    t0_ = std::chrono::steady_clock::now();
+  }
 }
 
 ScopedSpan::~ScopedSpan() {
+  if (!histogram_.empty()) {
+    const auto dt = std::chrono::steady_clock::now() - t0_;
+    observe(histogram_,
+            std::chrono::duration<double, std::micro>(dt).count());
+  }
   if (log_ != nullptr) log_->end(id_);
 }
 

@@ -8,9 +8,11 @@
 // one JSON object per line, parent/depth fields reconstruct the tree.
 //
 // Like the metrics registry, tracing is a null-sink until a TraceLog is
-// attached; `ScopedSpan` then costs one atomic load + branch.
+// attached; `ScopedSpan` then costs one atomic load + branch (one more
+// when it also names a latency histogram).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -132,10 +134,15 @@ class ScopedTraceContext {
 void set_virtual_now(double t) noexcept;
 double virtual_now() noexcept;
 
-/// RAII span against the attached TraceLog; inert when detached.
+/// RAII span against the attached TraceLog; inert when detached.  With
+/// a `histogram` name it also observes the scope's elapsed microseconds
+/// into that histogram when a metrics registry is attached at
+/// construction; detached, it reads no clock.  `histogram` must outlive
+/// the span (pass a literal).
 class ScopedSpan {
  public:
-  explicit ScopedSpan(std::string_view name) noexcept;
+  explicit ScopedSpan(std::string_view name,
+                      std::string_view histogram = {}) noexcept;
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -143,6 +150,8 @@ class ScopedSpan {
  private:
   TraceLog* log_ = nullptr;
   std::uint64_t id_ = 0;
+  std::string_view histogram_;  ///< empty = not timing
+  std::chrono::steady_clock::time_point t0_{};
 };
 
 }  // namespace sensedroid::obs

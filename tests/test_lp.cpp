@@ -17,11 +17,14 @@
 #include "linalg/random.h"
 #include "linalg/updatable_lu.h"
 #include "linalg/vector_ops.h"
+#include "obs/metrics.h"
+#include "support/tableau_oracle.h"
 
 namespace {
 
 namespace sc = sensedroid::cs;
 namespace sl = sensedroid::linalg;
+namespace ts = sensedroid::test_support;
 
 using sl::Matrix;
 using sl::Rng;
@@ -130,20 +133,13 @@ TEST(UpdatableLu, DetectsSingularFactorAndUpdate) {
 
 // ------------------------------------------------------ revised simplex ----
 
-sc::SimplexOptions engine_opts(sc::SimplexEngine e) {
-  sc::SimplexOptions o;
-  o.engine = e;
-  return o;
-}
-
 TEST(RevisedSimplex, MatchesTableauOnTextbookProblem) {
   sc::LpProblem p;
   p.a = Matrix{{1, 0, 1, 0, 0}, {0, 2, 0, 1, 0}, {3, 2, 0, 0, 1}};
   p.b = {4, 12, 18};
   p.c = {-3, -5, 0, 0, 0};
-  for (const auto engine :
-       {sc::SimplexEngine::kRevised, sc::SimplexEngine::kTableau}) {
-    const auto sol = sc::simplex_solve(p, engine_opts(engine));
+  for (const auto& sol :
+       {sc::simplex_solve(p), ts::oracle_tableau_solve(p.a, p.b, p.c)}) {
     ASSERT_EQ(sol.status, sc::LpStatus::kOptimal);
     EXPECT_NEAR(sol.objective, -36.0, 1e-9);
     EXPECT_NEAR(sol.x[0], 2.0, 1e-9);
@@ -157,8 +153,7 @@ TEST(RevisedSimplex, DetectsInfeasible) {
   p.a = Matrix{{1, 0}, {1, 0}};
   p.b = {1, 2};
   p.c = {1, 1};
-  const auto sol =
-      sc::simplex_solve(p, engine_opts(sc::SimplexEngine::kRevised));
+  const auto sol = sc::simplex_solve(p);
   EXPECT_EQ(sol.status, sc::LpStatus::kInfeasible);
 }
 
@@ -167,8 +162,7 @@ TEST(RevisedSimplex, DetectsUnbounded) {
   p.a = Matrix{{1, -1}};
   p.b = {0};
   p.c = {-1, 0};
-  const auto sol =
-      sc::simplex_solve(p, engine_opts(sc::SimplexEngine::kRevised));
+  const auto sol = sc::simplex_solve(p);
   EXPECT_EQ(sol.status, sc::LpStatus::kUnbounded);
 }
 
@@ -201,14 +195,27 @@ TEST(RevisedSimplex, CancelTokenStopsTheSolve) {
   for (double& v : y) v = rng.gaussian();
   sc::CancelToken cancel;
   cancel.cancel();
-  for (const auto engine :
-       {sc::SimplexEngine::kRevised, sc::SimplexEngine::kTableau}) {
-    sc::SimplexOptions o;
-    o.engine = engine;
-    o.cancel = &cancel;
-    const auto sol = sc::simplex_solve_bp(a, y, o);
-    EXPECT_EQ(sol.status, sc::LpStatus::kCancelled);
-  }
+  sc::SimplexOptions o;
+  o.cancel = &cancel;
+  EXPECT_EQ(sc::simplex_solve_bp(a, y, o).status, sc::LpStatus::kCancelled);
+  EXPECT_EQ(ts::oracle_tableau_solve_bp(a, y, o).status,
+            sc::LpStatus::kCancelled);
+}
+
+// An attached registry alone, with no trace, gets each solve's latency
+// in cs.simplex.solve_us from the solve's span.
+TEST(RevisedSimplex, AttachedSolveRecordsItsLatencyHistogram) {
+  const Matrix a = random_matrix(8, 24, 91);
+  Rng rng(92);
+  const Vector y = a * random_sparse(24, 3, rng);
+  sensedroid::obs::MetricsRegistry reg;
+  sensedroid::obs::attach_registry(&reg);
+  const auto sol = sc::simplex_solve_bp(a, y);
+  sensedroid::obs::attach_registry(nullptr);
+  ASSERT_EQ(sol.status, sc::LpStatus::kOptimal);
+  const auto* h = reg.find_histogram("cs.simplex.solve_us");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), 1u);
 }
 
 TEST(RevisedSimplex, BasisRoundTripResolvesWithoutPivots) {
@@ -249,8 +256,9 @@ TEST(RevisedSimplex, RejectsGarbageWarmBasisAndStillSolves) {
 }
 
 // Randomized equivalence sweep: the revised engine against the dense
-// tableau on bounded-feasible LPs (b = A x0 with x0 >= 0 keeps phase 1
-// honest; c >= 0 bounds the objective from below).  Statuses must be
+// tableau oracle (tests/support/tableau_oracle.h) on bounded-feasible
+// LPs (b = A x0 with x0 >= 0 keeps phase 1 honest; c >= 0 bounds the
+// objective from below).  Statuses must be
 // identical and objectives equal to 1e-8 — pivot paths may differ.
 TEST(RevisedSimplex, AgreesWithTableauOnRandomFeasibleLps) {
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
@@ -267,10 +275,8 @@ TEST(RevisedSimplex, AgreesWithTableauOnRandomFeasibleLps) {
     p.c.assign(n, 0.0);
     for (double& cj : p.c) cj = rng.uniform(0.0, 3.0);
 
-    const auto rev =
-        sc::simplex_solve(p, engine_opts(sc::SimplexEngine::kRevised));
-    const auto tab =
-        sc::simplex_solve(p, engine_opts(sc::SimplexEngine::kTableau));
+    const auto rev = sc::simplex_solve(p);
+    const auto tab = ts::oracle_tableau_solve(p.a, p.b, p.c);
     ASSERT_EQ(rev.status, tab.status) << "seed " << seed;
     ASSERT_EQ(rev.status, sc::LpStatus::kOptimal) << "seed " << seed;
     EXPECT_NEAR(rev.objective, tab.objective, 1e-8) << "seed " << seed;
@@ -289,9 +295,7 @@ TEST(RevisedSimplex, BpEnginesAgreeOnRandomSparseInstances) {
     const Vector y = a * random_sparse(n, k, rng);
 
     const auto rev = sc::simplex_solve_bp(a, y);
-    sc::SimplexOptions tab_opts;
-    tab_opts.engine = sc::SimplexEngine::kTableau;
-    const auto tab = sc::simplex_solve_bp(a, y, tab_opts);
+    const auto tab = ts::oracle_tableau_solve_bp(a, y);
     ASSERT_EQ(rev.status, sc::LpStatus::kOptimal) << "seed " << seed;
     ASSERT_EQ(tab.status, sc::LpStatus::kOptimal) << "seed " << seed;
     EXPECT_NEAR(rev.objective, tab.objective, 1e-8) << "seed " << seed;

@@ -212,8 +212,7 @@ TEST_F(ObsTest, DetachedHelpersAreInert) {
   obs::add_counter("nobody.home");
   obs::set_gauge("nobody.home", 3.0);
   obs::observe("nobody.home", 1.0);
-  { obs::ScopedTimer t("nobody.home_us"); }
-  { obs::ScopedSpan s("nobody.home.span"); }
+  { obs::ScopedSpan s("nobody.home.span", "nobody.home_us"); }
   obs::MetricsRegistry reg;
   obs::attach_registry(&reg);
   obs::add_counter("somebody.home");
@@ -270,6 +269,24 @@ TEST_F(ObsTest, HistogramCustomBoundsAndOverflow) {
   EXPECT_DOUBLE_EQ(h.max(), 100.0);
   // p99 lands in the overflow bucket, which is capped at max().
   EXPECT_LE(h.quantile(0.99), 100.0);
+}
+
+// A span given a histogram name times its scope into the attached
+// registry, with or without a trace; with no registry it times nothing.
+TEST_F(ObsTest, TimedSpanObservesItsHistogramOnlyWhenAttached) {
+  obs::TraceLog log;
+  obs::attach_trace(&log);
+  { obs::ScopedSpan s("traced.only", "traced.only_us"); }
+  EXPECT_EQ(log.size(), 1u);
+  obs::attach_trace(nullptr);
+  obs::MetricsRegistry reg;
+  obs::attach_registry(&reg);
+  { obs::ScopedSpan s("timed", "timed_us"); }
+  EXPECT_EQ(reg.find_histogram("traced.only_us"), nullptr);
+  const obs::Histogram* h = reg.find_histogram("timed_us");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), 1u);
+  EXPECT_EQ(log.size(), 1u);
 }
 
 TEST_F(ObsTest, SpanNestingTracksParentAndDepth) {
