@@ -138,26 +138,28 @@ void BM_ChsReconstruct(benchmark::State& state) {
 BENCHMARK(BM_ChsReconstruct)->Arg(128)->Arg(256)->Arg(512);
 
 // The production per-zone solve: NanoCloud's default CHS (2-D kLinear
-// Upsilon, GLS refit over a heterogeneous fleet) on a 16x16 zone with
-// m = 64 readings and its separable 2-D DCT basis.  BM_ChsReconstruct
-// runs 1-D zero-fill OLS and never reaches Upsilon.
+// Upsilon, GLS refit over a heterogeneous fleet) against its factored
+// separable 2-D DCT basis, on solve-heavy's 16x16 zone with m = 64 and
+// zones-faulted's 8x8 zone with m = 20.  BM_ChsReconstruct runs 1-D
+// zero-fill OLS and never reaches Upsilon.
 void BM_ChsZone2d(benchmark::State& state) {
-  constexpr std::size_t kSide = 16, m = 64;
-  const auto basis = linalg::dct2_basis(kSide, kSide);
+  const auto side = static_cast<std::size_t>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
+  const auto basis = linalg::dct2_factored(side, side);
   linalg::Rng rng(21);
-  const auto x = sparse_signal(basis, 6, rng);
-  auto plan = cs::MeasurementPlan::random(kSide * kSide, m, rng);
+  const auto x = sparse_signal(basis.dense(), 6, rng);
+  auto plan = cs::MeasurementPlan::random(side * side, m, rng);
   auto noise = cs::SensorNoise::heterogeneous(m, 0.05, 0.5, rng);
   const auto meas = cs::measure(x, std::move(plan), std::move(noise), rng);
   cs::ChsOptions opts;
   opts.interpolation = cs::Interpolation::kLinear;
   opts.refit_solver = "gls";
-  opts.grid_height = kSide;
+  opts.grid_height = side;
   for (auto _ : state) {
     benchmark::DoNotOptimize(cs::chs_reconstruct(basis, meas, opts));
   }
 }
-BENCHMARK(BM_ChsZone2d);
+BENCHMARK(BM_ChsZone2d)->Args({16, 64})->Args({8, 20});
 
 // Step (a)'s stencil build alone: the 2-D kLinear Upsilon of NanoCloud's
 // zones, 16x16 with m = 64 and 8x8 with m = 20.  A campaign builds one

@@ -194,16 +194,22 @@ Upsilon::Upsilon(std::span<const std::size_t> locations, std::size_t n,
 }
 
 Vector Upsilon::apply(std::span<const double> values) const {
-  if (values.size() != locations_.size()) {
+  Vector out(n_);
+  apply_into(values, out);
+  return out;
+}
+
+void Upsilon::apply_into(std::span<const double> values,
+                         std::span<double> out) const {
+  if (values.size() != locations_.size() || out.size() != n_) {
     throw std::invalid_argument("Upsilon: size mismatch");
   }
-  Vector out(n_, 0.0);
-  if (values.empty()) return out;
-  if (kind_ == Interpolation::kZeroFill) {
+  if (values.empty() || kind_ == Interpolation::kZeroFill) {
+    std::fill(out.begin(), out.end(), 0.0);
     for (std::size_t i = 0; i < values.size(); ++i) {
       out[locations_[i]] = values[i];
     }
-    return out;
+    return;
   }
   for (std::size_t g = 0; g < n_; ++g) {
     const std::size_t* s = &sample_[kSlots * g];
@@ -224,7 +230,29 @@ Vector Upsilon::apply(std::span<const double> values) const {
       out[g] = acc / wsum_[g];  // wsum_ > 0: every blend has a weight
     }
   }
-  return out;
+}
+
+void select_batch(std::span<std::size_t> candidates,
+                  std::span<const double> alpha, std::size_t take) {
+  // No choice to make: the set is empty or every candidate.
+  if (take == 0 || take >= candidates.size()) return;
+  const auto by_magnitude = [&](std::size_t a, std::size_t b) {
+    return std::abs(alpha[a]) > std::abs(alpha[b]);
+  };
+  // After nth_element, rank take + 1 sits at position take and every
+  // entry before it is at least as large; the first `take` are the top
+  // set unless the smallest of them ties with it.
+  std::nth_element(candidates.begin(), candidates.begin() + take,
+                   candidates.end(), by_magnitude);
+  double kept_min = std::abs(alpha[candidates[0]]);
+  for (std::size_t i = 1; i < take; ++i) {
+    kept_min = std::min(kept_min, std::abs(alpha[candidates[i]]));
+  }
+  if (kept_min > std::abs(alpha[candidates[take]])) return;
+  // A tie straddles the boundary: which of the tied atoms a full sort
+  // keeps depends on its input order, so restore that order and sort.
+  std::sort(candidates.begin(), candidates.end());
+  std::sort(candidates.begin(), candidates.end(), by_magnitude);
 }
 
 Vector interpolate_to_grid(std::span<const double> values,
@@ -304,33 +332,56 @@ std::optional<Measurement> mad_screen(const Measurement& meas,
 // supplies the four places the basis representation matters:
 //
 //   analyze()          — steps (a)+(b), residual -> coefficient proxy
-//                        through the solve's one Upsilon stencil;
+//                        through the solve's one Upsilon stencil, into
+//                        the caller's per-solve buffer;
 //   column_into()      — one M-long column of Phi~, which the cached
 //                        refit appends;
 //   support_matrix()   — the M x K refit matrix Phi~_K;
 //   reconstruct_into() — step 4's synthesis x_hat = Phi_K alpha_K.
 //
-// OperatorChsView runs the analyze sweep through
+// DenseChsView analyzes through the basis factors when it is handed a
+// factored linalg::Basis (two w x w / h x h products instead of the
+// N x N sweep).  OperatorChsView runs the analyze sweep through
 // LinearOperator::apply_transpose (O(N log N) for the fast DCT instead
 // of the O(MN) row-matrix product) and assembles only the O(K) columns
 // a refit actually touches, so a zone never materializes the basis.
+// Each view owns its per-solve grid buffers, so an iteration's analyze
+// allocates nothing.
 struct DenseChsView {
-  const Matrix& basis;
-  const Matrix phi_rows;  // M x N
+  const Matrix& basis;             // N x N synthesis matrix
+  const linalg::Basis* separable;  // factored basis, or null
+  const Matrix phi_rows;           // M x N
+  Vector grid;                     // Upsilon output, length N
+  Vector scratch;                  // factor-product temporary
 
-  DenseChsView(const Matrix& b, const MeasurementPlan& plan)
-      : basis(b), phi_rows(plan.select_rows(b)) {}
+  DenseChsView(const Matrix& b, const linalg::Basis* factored,
+               const MeasurementPlan& plan)
+      : basis(b),
+        separable(factored),
+        phi_rows(plan.select_rows(b)),
+        grid(b.rows()),
+        scratch(factored != nullptr ? b.rows() : 0) {}
 
-  Vector analyze(const Vector& residual, const Upsilon& upsilon) const {
+  void analyze(const Vector& residual, const Upsilon& upsilon,
+               std::span<double> alpha) {
     // (a)+(b) Upsilon then analyze: residual onto the full grid, then
-    // into the basis.  Zero-fill leaves e_full zero off the sampled
+    // into the basis.  The factor products want the full grid, so for
+    // them zero-fill is just the scatter.
+    if (separable != nullptr) {
+      upsilon.apply_into(residual, grid);
+      separable->analyze_into(grid, alpha, scratch);
+      return;
+    }
+    // Without factors, zero-fill leaves e_full zero off the sampled
     // locations, so Phi^T e_full collapses to Phi_rows^T residual — the
     // sparsity is exploited explicitly here (M rows instead of N)
     // rather than by a data-dependent zero-skip inside the kernel.
     if (upsilon.kind() == Interpolation::kZeroFill) {
-      return phi_rows.transpose_times(residual);
+      phi_rows.transpose_times_into(residual, alpha);
+      return;
     }
-    return basis.transpose_times(upsilon.apply(residual));
+    upsilon.apply_into(residual, grid);
+    basis.transpose_times_into(grid, alpha);
   }
 
   void column_into(std::size_t j, std::span<double> out) const {
@@ -357,16 +408,21 @@ struct OperatorChsView {
   const linalg::LinearOperator& basis;  // full N x N synthesis operator
   std::span<const std::size_t> locations;
   mutable Vector colbuf;  // one full basis column, length N
+  Vector grid;            // Upsilon output, length N
 
   OperatorChsView(const linalg::LinearOperator& b,
                   const MeasurementPlan& plan)
-      : basis(b), locations(plan.indices()), colbuf(b.rows()) {}
+      : basis(b), locations(plan.indices()), colbuf(b.rows()),
+        grid(b.rows()) {}
 
-  Vector analyze(const Vector& residual, const Upsilon& upsilon) const {
+  void analyze(const Vector& residual, const Upsilon& upsilon,
+               std::span<double> alpha) {
     // Zero-fill *is* the scatter here: the fast analysis transform wants
     // the full grid anyway, and scatter + O(N log N) beats the dense
     // path's O(MN) row-matrix product.
-    return basis.apply_transpose(upsilon.apply(residual));
+    upsilon.apply_into(residual, grid);
+    std::fill(alpha.begin(), alpha.end(), 0.0);  // as apply_transpose()
+    basis.apply_transpose_into(grid, alpha);
   }
 
   // Exact basis entries (the operator's column_into evaluates the closed
@@ -519,6 +575,12 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
   double prev_res_norm = norm2(residual);
   std::vector<bool> in_support(n, false);
   Vector coef_on_support;
+  // Per-solve buffers: an iteration's analyze, candidate pick and
+  // rollback copies reuse them instead of allocating.
+  Vector alpha_r(n);
+  std::vector<std::size_t> candidates;
+  std::vector<std::size_t> prev_support;
+  Vector prev_coeffs;
 
   // Warm start: seed the support with the caller's prior (deduplicated,
   // clipped to the budget) and refit once so the first iteration already
@@ -551,7 +613,7 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
 
     // (a)+(b) Upsilon then analyze — representation-specific, see the
     // view comments above.
-    const Vector alpha_r = view.analyze(residual, upsilon);
+    view.analyze(residual, upsilon, alpha_r);
 
     // (c) pick significant, not-yet-selected coefficients.
     double max_mag = 0.0;
@@ -560,25 +622,25 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
     }
     if (max_mag == 0.0) break;  // residual orthogonal to every new atom
 
-    std::vector<std::size_t> candidates;
+    candidates.clear();
     for (std::size_t j = 0; j < n; ++j) {
       if (!in_support[j] &&
           std::abs(alpha_r[j]) >= opts.significance * max_mag) {
         candidates.push_back(j);
       }
     }
-    std::sort(candidates.begin(), candidates.end(),
-              [&](std::size_t a, std::size_t b) {
-                return std::abs(alpha_r[a]) > std::abs(alpha_r[b]);
-              });
     const std::size_t room = k_budget - res.support.size();
     const std::size_t take =
         std::min({candidates.size(), opts.coeffs_per_iter, room});
     if (take == 0) break;
+    // The batch is the top-`take` set by |alpha_r|, exactly the set a
+    // full sort would keep (see select_batch); the support is re-sorted
+    // by index below, so the order within the batch never matters.
+    select_batch(candidates, alpha_r, take);
 
     // (d) grow J (tentatively — rolled back if the batch buys nothing).
-    const std::vector<std::size_t> prev_support = res.support;
-    const Vector prev_coeffs = coef_on_support;
+    prev_support.assign(res.support.begin(), res.support.end());
+    prev_coeffs.assign(coef_on_support.begin(), coef_on_support.end());
     for (std::size_t i = 0; i < take; ++i) {
       in_support[candidates[i]] = true;
       res.support.push_back(candidates[i]);
@@ -685,16 +747,29 @@ ChsResult chs_entry(std::size_t n, std::size_t basis_cols,
   return solve(meas, opts);
 }
 
+// Both dense overloads: `factored` is the basis whose factors step (b)
+// runs through, or null for the generic sweep over `basis`.
+ChsResult dense_chs(const Matrix& basis, const linalg::Basis* factored,
+                    const Measurement& meas, const ChsOptions& opts) {
+  const std::size_t n = basis.rows();
+  return chs_entry(n, basis.cols(), meas, opts,
+                   [&](const Measurement& mm, const ChsOptions& oo) {
+                     DenseChsView view(basis, factored, mm.plan);
+                     return chs_core(view, n, mm, oo);
+                   });
+}
+
 }  // namespace
 
 ChsResult chs_reconstruct(const Matrix& basis, const Measurement& meas,
                           const ChsOptions& opts) {
-  const std::size_t n = basis.rows();
-  return chs_entry(n, basis.cols(), meas, opts,
-                   [&](const Measurement& mm, const ChsOptions& oo) {
-                     DenseChsView view(basis, mm.plan);
-                     return chs_core(view, n, mm, oo);
-                   });
+  return dense_chs(basis, nullptr, meas, opts);
+}
+
+ChsResult chs_reconstruct(const linalg::Basis& basis, const Measurement& meas,
+                          const ChsOptions& opts) {
+  return dense_chs(basis.dense(), basis.factored() ? &basis : nullptr, meas,
+                   opts);
 }
 
 ChsResult chs_reconstruct(const linalg::LinearOperator& basis,

@@ -21,6 +21,7 @@
 
 #include "cs/cancel.h"
 #include "cs/measurement.h"
+#include "linalg/basis.h"
 #include "linalg/matrix.h"
 
 namespace sensedroid::cs {
@@ -100,6 +101,17 @@ struct ChsResult {
 ChsResult chs_reconstruct(const Matrix& basis, const Measurement& meas,
                           const ChsOptions& opts = {});
 
+/// Same, against a linalg::Basis.  When it is factored (the separable
+/// 2-D DCT of linalg::dct2_factored), step (b) runs Phi^T u as two
+/// factor products, O(w h (w + h)) instead of the O(N^2) sweep; refits
+/// and the reconstruction still read basis.dense().  An unfactored basis
+/// solves exactly as the Matrix overload does on dense().  The factored
+/// analyze rounds differently from the dense sweep (~1e-15 relative), so
+/// results match the Matrix overload on dense() up to near-exact
+/// atom-selection ties.
+ChsResult chs_reconstruct(const linalg::Basis& basis, const Measurement& meas,
+                          const ChsOptions& opts = {});
+
 /// Operator-core CHS: same Fig. 6 loop against a structured N x N
 /// synthesis operator (e.g. linalg::SubsampledDctOperator with an empty
 /// row list) instead of a materialized basis.  The analyze sweep runs
@@ -131,6 +143,10 @@ class Upsilon {
   /// std::invalid_argument on a size mismatch.
   Vector apply(std::span<const double> values) const;
 
+  /// apply() into a caller-owned buffer of size n, overwriting it: the
+  /// per-iteration form that allocates nothing.
+  void apply_into(std::span<const double> values, std::span<double> out) const;
+
   Interpolation kind() const noexcept { return kind_; }
 
  private:
@@ -147,6 +163,17 @@ class Upsilon {
   std::vector<double> weight_;
   std::vector<double> wsum_;  // 2-D kLinear: sum of g's weights
 };
+
+/// Step (c)'s batch choice.  `candidates` are distinct indices into
+/// `alpha`, strictly ascending; on return its first `take` entries hold,
+/// in some order, the same set of indices as the first `take` of a full
+/// std::sort of the input by descending |alpha| — ties included, because
+/// when |alpha| at rank take equals that at rank take + 1 this falls
+/// back to exactly that sort.  Otherwise a top-(take + 1) selection picks
+/// the set in O(|candidates|) on average.  Entries from `take` on are left in an
+/// unspecified order.  take >= |candidates| selects everything.
+void select_batch(std::span<std::size_t> candidates,
+                  std::span<const double> alpha, std::size_t take);
 
 /// 1-D Upsilon: spreads `values` at strictly ascending `locations` onto a
 /// length-n grid.  Throws std::invalid_argument on a size mismatch, a

@@ -36,7 +36,7 @@ LocalCloud::LocalCloud(const field::SpatialField& truth,
   // that shape.  The config is the same for every zone, so the shape is
   // the whole key; kinds a zone must build itself come back null.
   std::map<std::pair<std::size_t, std::size_t>,
-           std::shared_ptr<const linalg::Matrix>>
+           std::shared_ptr<const linalg::Basis>>
       bases;
   for (std::size_t id = 0; id < grid.zone_count(); ++id) {
     const field::SpatialField& zone = zone_truths_[id];

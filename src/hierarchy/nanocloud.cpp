@@ -22,9 +22,9 @@ constexpr middleware::NodeId kBrokerId = 1'000'000;
 // separable 2-D DCT — so a campaign toggling fast_operator, or sharing
 // the basis across zones, sees identical node layouts, tiers, and noise
 // streams downstream.
-std::shared_ptr<const linalg::Matrix> make_zone_basis(
+std::shared_ptr<const linalg::Basis> make_zone_basis(
     const field::SpatialField& truth, const NanoCloudConfig& config, Rng& rng,
-    std::shared_ptr<const linalg::Matrix> shared) {
+    std::shared_ptr<const linalg::Basis> shared) {
   if (config.fast_operator && config.basis != linalg::BasisKind::kDct) {
     throw std::invalid_argument(
         "NanoCloud: fast_operator requires the DCT basis");
@@ -34,15 +34,17 @@ std::shared_ptr<const linalg::Matrix> make_zone_basis(
   const std::uint64_t seed = separable ? 0 : rng.next_u64();
   if (config.fast_operator) return nullptr;
   if (shared != nullptr) {
-    if (shared->rows() != truth.size() || shared->cols() != truth.size()) {
+    if (shared->dense().rows() != truth.size() ||
+        shared->dense().cols() != truth.size()) {
       throw std::invalid_argument(
           "NanoCloud: shared basis does not match the zone size");
     }
     return shared;
   }
-  return std::make_shared<const linalg::Matrix>(
-      separable ? linalg::dct2_basis(truth.width(), truth.height())
-                : linalg::make_basis(config.basis, truth.size(), seed));
+  return std::make_shared<const linalg::Basis>(
+      separable ? linalg::dct2_factored(truth.width(), truth.height())
+                : linalg::Basis(
+                      linalg::make_basis(config.basis, truth.size(), seed)));
 }
 
 std::unique_ptr<linalg::LinearOperator> make_zone_operator(
@@ -58,19 +60,19 @@ std::unique_ptr<linalg::LinearOperator> make_zone_operator(
 
 }  // namespace
 
-std::shared_ptr<const linalg::Matrix> shared_zone_basis(
+std::shared_ptr<const linalg::Basis> shared_zone_basis(
     const field::SpatialField& zone, const NanoCloudConfig& config) {
   if (config.fast_operator) return nullptr;
   switch (config.basis) {
     case linalg::BasisKind::kDct:
       if (config.separable_2d) {
-        return std::make_shared<const linalg::Matrix>(
-            linalg::dct2_basis(zone.width(), zone.height()));
+        return std::make_shared<const linalg::Basis>(
+            linalg::dct2_factored(zone.width(), zone.height()));
       }
       [[fallthrough]];
     case linalg::BasisKind::kHaar:
     case linalg::BasisKind::kIdentity:
-      return std::make_shared<const linalg::Matrix>(
+      return std::make_shared<const linalg::Basis>(
           linalg::make_basis(config.basis, zone.size()));
     case linalg::BasisKind::kGaussian:
     case linalg::BasisKind::kPca:
@@ -81,7 +83,7 @@ std::shared_ptr<const linalg::Matrix> shared_zone_basis(
 
 NanoCloud::NanoCloud(const field::SpatialField& truth,
                      const NanoCloudConfig& config, Rng& rng,
-                     std::shared_ptr<const linalg::Matrix> shared_basis)
+                     std::shared_ptr<const linalg::Basis> shared_basis)
     : truth_(&truth),
       config_(config),
       broker_(kBrokerId,
@@ -385,7 +387,8 @@ double NanoCloud::total_node_energy_j() const noexcept {
 std::size_t NanoCloud::basis_state_bytes() const noexcept {
   return basis_op_ != nullptr
              ? basis_op_->state_bytes()
-             : basis_->rows() * basis_->cols() * sizeof(double);
+             : basis_->dense().rows() * basis_->dense().cols() *
+                   sizeof(double);
 }
 
 }  // namespace sensedroid::hierarchy

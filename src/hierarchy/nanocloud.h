@@ -116,7 +116,7 @@ class NanoCloud {
   /// [0, 1], or a shared basis whose size does not match the zone.
   NanoCloud(const field::SpatialField& truth, const NanoCloudConfig& config,
             Rng& rng,
-            std::shared_ptr<const linalg::Matrix> shared_basis = nullptr);
+            std::shared_ptr<const linalg::Basis> shared_basis = nullptr);
 
   std::size_t grid_points() const noexcept { return truth_->size(); }
   std::size_t node_count() const noexcept { return nodes_.size(); }
@@ -125,7 +125,9 @@ class NanoCloud {
   const NanoCloudConfig& config() const noexcept { return config_; }
   /// The dense basis the zone solves against, possibly shared with the
   /// other zones of its shape; nullptr in fast_operator mode.
-  const linalg::Matrix* basis() const noexcept { return basis_.get(); }
+  const linalg::Matrix* basis() const noexcept {
+    return basis_ != nullptr ? &basis_->dense() : nullptr;
+  }
 
   /// Member phone by construction index (checkpoint walks them in this
   /// order; indices are stable for the cloud's lifetime).
@@ -184,20 +186,22 @@ class NanoCloud {
   std::vector<middleware::MobileNode> nodes_;
   std::vector<std::size_t> covered_;          ///< cells with a node
   std::vector<std::size_t> cell_to_node_;     ///< cell -> index or npos
-  /// Dense basis, possibly shared with other zones; null in
-  /// fast_operator mode.
-  std::shared_ptr<const linalg::Matrix> basis_;
+  /// Dense basis (with its 1-D factors when it is the separable 2-D
+  /// DCT), possibly shared with other zones; null in fast_operator mode.
+  std::shared_ptr<const linalg::Basis> basis_;
   std::unique_ptr<linalg::LinearOperator> basis_op_;  ///< set iff fast_operator
 };
 
 /// The analytic zone basis for `config` over `zone`'s shape: the
-/// separable 2-D DCT, the 1-D DCT, Haar, or identity.  It depends only on
-/// the basis kind and the zone's width and height, so every zone of one
-/// shape can read one immutable copy (LocalCloud shares it this way).
+/// separable 2-D DCT (dense matrix built from, and carrying, its 1-D
+/// factors, so CHS analyzes through them), the 1-D DCT, Haar, or
+/// identity (no factors).  It depends only on the basis kind and the
+/// zone's width and height, so every zone of one shape can read one
+/// immutable copy (LocalCloud shares it this way).
 /// nullptr for the kinds a zone must build itself — Gaussian (seeded
 /// per zone) and PCA (data-driven) — and in fast_operator mode.  Throws
 /// as linalg::make_basis does (Haar needs a power-of-two size).
-std::shared_ptr<const linalg::Matrix> shared_zone_basis(
+std::shared_ptr<const linalg::Basis> shared_zone_basis(
     const field::SpatialField& zone, const NanoCloudConfig& config);
 
 }  // namespace sensedroid::hierarchy

@@ -1,8 +1,10 @@
 #include "linalg/basis.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/decomposition.h"
 #include "linalg/random.h"
@@ -82,24 +84,17 @@ Matrix kronecker(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix dct2_basis(std::size_t width, std::size_t height) {
-  if (width == 0 || height == 0) {
-    throw std::invalid_argument("dct2_basis: dimensions must be positive");
-  }
-  // Column stacking puts the row index (height) in the fast dimension, so
-  // the height-DCT is the inner factor of the separable product.  Filled
-  // directly from the cached 1-D factors (one factor for square grids)
-  // rather than through the generic kronecker(): the entries are the same
-  // aij * b(k,l) products, but each (i,j) pass writes h contiguous runs
-  // instead of strided scatter, and square grids build one dense DCT
-  // instead of two.
-  const Matrix a = dct_basis(width);
-  const Matrix b_distinct = width == height ? Matrix() : dct_basis(height);
-  const Matrix& b = width == height ? a : b_distinct;
-  const std::size_t h = height;
-  Matrix out(width * h, width * h);
-  for (std::size_t i = 0; i < width; ++i) {
-    for (std::size_t j = 0; j < width; ++j) {
+namespace {
+
+// kron(a, b) for square factors, the dense form of a separable basis.
+// The entries are the same a(i,j) * b(k,l) products the generic
+// kronecker() writes, but each (i,j) pass writes h contiguous runs
+// instead of strided scatter.
+Matrix kron_square(const Matrix& a, const Matrix& b) {
+  const std::size_t w = a.rows(), h = b.rows();
+  Matrix out(w * h, w * h);
+  for (std::size_t i = 0; i < w; ++i) {
+    for (std::size_t j = 0; j < w; ++j) {
       const double aij = a(i, j);
       for (std::size_t k = 0; k < h; ++k) {
         const double* __restrict bk = b.row(k).data();
@@ -109,6 +104,92 @@ Matrix dct2_basis(std::size_t width, std::size_t height) {
     }
   }
   return out;
+}
+
+// dst[0..len) = sum over t < terms of coef[t * stride] * src[t * len ..],
+// four source rows per pass so each dst element is loaded and stored
+// once per four multiply-adds.
+void combine_rows(const double* coef, std::size_t stride, const double* src,
+                  std::size_t terms, std::size_t len, double* __restrict dst) {
+  std::fill(dst, dst + len, 0.0);
+  std::size_t t = 0;
+  for (; t + 4 <= terms; t += 4) {
+    const double c0 = coef[t * stride], c1 = coef[(t + 1) * stride];
+    const double c2 = coef[(t + 2) * stride], c3 = coef[(t + 3) * stride];
+    const double* __restrict s0 = src + t * len;
+    const double* __restrict s1 = s0 + len;
+    const double* __restrict s2 = s1 + len;
+    const double* __restrict s3 = s2 + len;
+    for (std::size_t l = 0; l < len; ++l) {
+      dst[l] += c0 * s0[l] + c1 * s1[l] + c2 * s2[l] + c3 * s3[l];
+    }
+  }
+  for (; t < terms; ++t) {
+    const double c = coef[t * stride];
+    const double* __restrict s = src + t * len;
+    for (std::size_t l = 0; l < len; ++l) dst[l] += c * s[l];
+  }
+}
+
+}  // namespace
+
+Matrix dct2_basis(std::size_t width, std::size_t height) {
+  if (width == 0 || height == 0) {
+    throw std::invalid_argument("dct2_basis: dimensions must be positive");
+  }
+  // Column stacking puts the row index (height) in the fast dimension, so
+  // the height-DCT is the inner factor of the separable product.  Square
+  // grids build one 1-D DCT for both factors.
+  const Matrix a = dct_basis(width);
+  if (width == height) return kron_square(a, a);
+  return kron_square(a, dct_basis(height));
+}
+
+Basis::Basis(Matrix dense) : dense_(std::move(dense)) {}
+
+Basis Basis::separable(Matrix outer, Matrix inner) {
+  const auto square = [](const Matrix& f) {
+    return !f.empty() && f.rows() == f.cols();
+  };
+  if (!square(outer) || !(inner.empty() || square(inner))) {
+    throw std::invalid_argument("Basis::separable: factors must be square");
+  }
+  Basis b(kron_square(outer, inner.empty() ? outer : inner));
+  b.outer_ = std::move(outer);
+  b.inner_ = std::move(inner);
+  return b;
+}
+
+void Basis::analyze_into(std::span<const double> u, std::span<double> out,
+                         std::span<double> scratch) const {
+  if (!factored()) {
+    dense_.transpose_times_into(u, out);
+    return;
+  }
+  const Matrix& a = outer_;
+  const Matrix& b = inner();
+  const std::size_t w = a.rows(), h = b.rows(), n = w * h;
+  if (u.size() != n || out.size() != n || scratch.size() < n) {
+    throw std::invalid_argument("Basis::analyze_into: size mismatch");
+  }
+  // Phi(i h + k, j h + l) = A(i,j) B(k,l), so alpha(j,l) =
+  // sum_i A(i,j) sum_k U(i,k) B(k,l): S = A^T U row by row (row j of S
+  // combines the rows of U by column j of A), then alpha = S B.
+  double* s = scratch.data();
+  for (std::size_t j = 0; j < w; ++j) {
+    combine_rows(a.data().data() + j, w, u.data(), w, h, s + j * h);
+  }
+  for (std::size_t j = 0; j < w; ++j) {
+    combine_rows(s + j * h, 1, b.data().data(), h, h, out.data() + j * h);
+  }
+}
+
+Basis dct2_factored(std::size_t width, std::size_t height) {
+  if (width == 0 || height == 0) {
+    throw std::invalid_argument("dct2_factored: dimensions must be positive");
+  }
+  return Basis::separable(dct_basis(width),
+                          width == height ? Matrix() : dct_basis(height));
 }
 
 Matrix gaussian_basis(std::size_t n, std::uint64_t seed) {

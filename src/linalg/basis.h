@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "linalg/matrix.h"
@@ -49,6 +50,54 @@ Matrix kronecker(const Matrix& a, const Matrix& b);
 /// fields are far sparser here than in the 1-D DCT of the stacked vector,
 /// which ignores the 2-D neighborhood structure.
 Matrix dct2_basis(std::size_t width, std::size_t height);
+
+/// A synthesis basis Phi as the solvers read it: the dense N x N matrix
+/// and, when Phi is a Kronecker product kron(A, B) of a w x w outer
+/// factor A and an h x h inner factor B (N = w h), those factors, so that
+/// Phi^T u runs as two factor products in O(w h (w + h)) instead of one
+/// O(N^2) sweep.  A factored basis fills its dense matrix from its own
+/// factors and the class is immutable, so the two cannot drift.  A basis
+/// built from a bare matrix carries no factors, whatever that matrix
+/// holds: the factorization travels with the basis and is never inferred.
+class Basis {
+ public:
+  /// A basis without factors; analyze_into() sweeps the dense matrix.
+  explicit Basis(Matrix dense);
+
+  /// kron(outer, inner) with its dense matrix filled from the factors.
+  /// An empty `inner` means a square grid: inner == outer, stored once.
+  /// Throws std::invalid_argument when a factor is empty or not square.
+  static Basis separable(Matrix outer, Matrix inner = {});
+
+  const Matrix& dense() const noexcept { return dense_; }
+  bool factored() const noexcept { return !outer_.empty(); }
+  /// The w x w factor A; empty when the basis is not factored.
+  const Matrix& outer() const noexcept { return outer_; }
+  /// The h x h factor B (outer() for a square grid); empty when the basis
+  /// is not factored.
+  const Matrix& inner() const noexcept {
+    return inner_.empty() ? outer_ : inner_;
+  }
+
+  /// Phi^T u into `out` (size N).  Factored: alpha = A^T U B, with U the
+  /// w x h row-major view of u, through `scratch` (size >= N) for A^T U;
+  /// it agrees with dense().transpose_times(u) to rounding (~1e-15 ||u||).
+  /// Unfactored: exactly dense().transpose_times_into(u, out), and
+  /// `scratch` is not touched.  Throws std::invalid_argument on a size
+  /// mismatch.
+  void analyze_into(std::span<const double> u, std::span<double> out,
+                    std::span<double> scratch) const;
+
+ private:
+  Matrix dense_;
+  Matrix outer_;
+  Matrix inner_;  // empty for a square grid
+};
+
+/// The separable 2-D DCT with its 1-D factors: dct_basis(width) outer,
+/// dct_basis(height) inner (one factor when width == height).  dense()
+/// is bit-identical to dct2_basis(width, height).
+Basis dct2_factored(std::size_t width, std::size_t height);
 
 /// Data-driven PCA basis from a trace matrix X (T traces x N grid points),
 /// the paper's "prior available data" Gamma = {x_1..x_T}: columns are the
