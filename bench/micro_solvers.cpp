@@ -147,7 +147,7 @@ void BM_ChsZone2d(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(1));
   const auto basis = linalg::dct2_factored(side, side);
   linalg::Rng rng(21);
-  const auto x = sparse_signal(basis.dense(), 6, rng);
+  const auto x = sparse_signal(linalg::dct2_basis(side, side), 6, rng);
   auto plan = cs::MeasurementPlan::random(side * side, m, rng);
   auto noise = cs::SensorNoise::heterogeneous(m, 0.05, 0.5, rng);
   const auto meas = cs::measure(x, std::move(plan), std::move(noise), rng);
@@ -159,7 +159,7 @@ void BM_ChsZone2d(benchmark::State& state) {
     benchmark::DoNotOptimize(cs::chs_reconstruct(basis, meas, opts));
   }
 }
-BENCHMARK(BM_ChsZone2d)->Args({16, 64})->Args({8, 20});
+BENCHMARK(BM_ChsZone2d)->Args({16, 64})->Args({8, 20})->Args({64, 512});
 
 // Step (a)'s stencil build alone: the 2-D kLinear Upsilon of NanoCloud's
 // zones, 16x16 with m = 64 and 8x8 with m = 20.  A campaign builds one

@@ -327,140 +327,51 @@ std::optional<Measurement> mad_screen(const Measurement& meas,
                      SensorNoise{std::move(kept_sigma)}};
 }
 
-// The Fig. 6 loop is written once against a "basis view" so the dense
-// matrix path and the structured-operator path cannot drift.  The view
-// supplies the four places the basis representation matters:
-//
-//   analyze()          — steps (a)+(b), residual -> coefficient proxy
-//                        through the solve's one Upsilon stencil, into
-//                        the caller's per-solve buffer;
-//   column_into()      — one M-long column of Phi~, which the cached
-//                        refit appends;
-//   support_matrix()   — the M x K refit matrix Phi~_K;
-//   reconstruct_into() — step 4's synthesis x_hat = Phi_K alpha_K.
-//
-// DenseChsView analyzes through the basis factors when it is handed a
-// factored linalg::Basis (two w x w / h x h products instead of the
-// N x N sweep).  OperatorChsView runs the analyze sweep through
-// LinearOperator::apply_transpose (O(N log N) for the fast DCT instead
-// of the O(MN) row-matrix product) and assembles only the O(K) columns
-// a refit actually touches, so a zone never materializes the basis.
-// Each view owns its per-solve grid buffers, so an iteration's analyze
-// allocates nothing.
-struct DenseChsView {
-  const Matrix& basis;             // N x N synthesis matrix
-  const linalg::Basis* separable;  // factored basis, or null
-  const Matrix phi_rows;           // M x N
-  Vector grid;                     // Upsilon output, length N
-  Vector scratch;                  // factor-product temporary
+// The Fig. 6 loop reads its basis through one view: the basis, Phi's
+// rows at the plan's sampled locations (the refit columns and the M x K
+// refit matrix Phi~_K come from them), and the per-solve grid buffers of
+// steps (a)+(b), so an iteration's analyze allocates nothing.  A solve
+// copies no rows of Phi, and a factored basis forms each entry it is
+// asked for from its factors and analyzes through two w x w / h x h
+// products, so no N x N matrix exists either.
+struct ChsView {
+  const linalg::Basis& basis;
+  std::span<const std::size_t> locations;  // the plan's sampled points
+  linalg::Basis::Rows sampled;             // Phi's rows at them
+  Vector grid;                             // Upsilon output, length N
+  Vector scratch;                          // factor-product temporary
 
-  DenseChsView(const Matrix& b, const linalg::Basis* factored,
-               const MeasurementPlan& plan)
+  ChsView(const linalg::Basis& b, const MeasurementPlan& plan)
       : basis(b),
-        separable(factored),
-        phi_rows(plan.select_rows(b)),
-        grid(b.rows()),
-        scratch(factored != nullptr ? b.rows() : 0) {}
+        locations(plan.indices()),
+        sampled(b.rows(locations)),
+        grid(b.size()),
+        scratch(b.factored() ? b.size() : 0) {}
 
+  // (a)+(b): the residual through the solve's one Upsilon stencil, then
+  // into the basis, into the caller's per-solve buffer.
   void analyze(const Vector& residual, const Upsilon& upsilon,
                std::span<double> alpha) {
-    // (a)+(b) Upsilon then analyze: residual onto the full grid, then
-    // into the basis.  The factor products want the full grid, so for
-    // them zero-fill is just the scatter.
-    if (separable != nullptr) {
-      upsilon.apply_into(residual, grid);
-      separable->analyze_into(grid, alpha, scratch);
-      return;
-    }
     // Without factors, zero-fill leaves e_full zero off the sampled
     // locations, so Phi^T e_full collapses to Phi_rows^T residual — the
     // sparsity is exploited explicitly here (M rows instead of N)
-    // rather than by a data-dependent zero-skip inside the kernel.
-    if (upsilon.kind() == Interpolation::kZeroFill) {
-      phi_rows.transpose_times_into(residual, alpha);
+    // rather than by a data-dependent zero-skip inside the kernel.  The
+    // factor products want the full grid, so for them zero-fill is just
+    // the scatter.
+    if (!basis.factored() && upsilon.kind() == Interpolation::kZeroFill) {
+      basis.dense().transpose_times_rows_into(locations, residual, alpha);
       return;
     }
     upsilon.apply_into(residual, grid);
-    basis.transpose_times_into(grid, alpha);
-  }
-
-  void column_into(std::size_t j, std::span<double> out) const {
-    phi_rows.col_into(j, out);
-  }
-
-  Matrix support_matrix(const std::vector<std::size_t>& support) const {
-    return phi_rows.select_cols(support);
-  }
-
-  void reconstruct_into(const std::vector<std::size_t>& support,
-                        const Vector& coef, Vector* out) const {
-    for (std::size_t idx = 0; idx < support.size(); ++idx) {
-      const std::size_t j = support[idx];
-      const double c = coef[idx];
-      for (std::size_t i = 0; i < basis.rows(); ++i) {
-        (*out)[i] += basis(i, j) * c;
-      }
-    }
+    basis.analyze_into(grid, alpha, scratch);
   }
 };
 
-struct OperatorChsView {
-  const linalg::LinearOperator& basis;  // full N x N synthesis operator
-  std::span<const std::size_t> locations;
-  mutable Vector colbuf;  // one full basis column, length N
-  Vector grid;            // Upsilon output, length N
-
-  OperatorChsView(const linalg::LinearOperator& b,
-                  const MeasurementPlan& plan)
-      : basis(b), locations(plan.indices()), colbuf(b.rows()),
-        grid(b.rows()) {}
-
-  void analyze(const Vector& residual, const Upsilon& upsilon,
-               std::span<double> alpha) {
-    // Zero-fill *is* the scatter here: the fast analysis transform wants
-    // the full grid anyway, and scatter + O(N log N) beats the dense
-    // path's O(MN) row-matrix product.
-    upsilon.apply_into(residual, grid);
-    std::fill(alpha.begin(), alpha.end(), 0.0);  // as apply_transpose()
-    basis.apply_transpose_into(grid, alpha);
-  }
-
-  // Exact basis entries (the operator's column_into evaluates the closed
-  // forms), so the sampled columns match the dense path's bit for bit.
-  void column_into(std::size_t j, std::span<double> out) const {
-    basis.column_into(j, colbuf);
-    for (std::size_t i = 0; i < locations.size(); ++i) {
-      out[i] = colbuf[locations[i]];
-    }
-  }
-
-  Matrix support_matrix(const std::vector<std::size_t>& support) const {
-    Matrix phi_k(locations.size(), support.size());
-    for (std::size_t j = 0; j < support.size(); ++j) {
-      basis.column_into(support[j], colbuf);
-      for (std::size_t i = 0; i < locations.size(); ++i) {
-        phi_k(i, j) = colbuf[locations[i]];
-      }
-    }
-    return phi_k;
-  }
-
-  void reconstruct_into(const std::vector<std::size_t>& support,
-                        const Vector& coef, Vector* out) const {
-    for (std::size_t idx = 0; idx < support.size(); ++idx) {
-      basis.column_into(support[idx], colbuf);
-      const double c = coef[idx];
-      for (std::size_t i = 0; i < colbuf.size(); ++i) {
-        (*out)[i] += colbuf[i] * c;
-      }
-    }
-  }
-};
-
-template <typename View>
-ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
+ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
                    const ChsOptions& opts) {
+  const std::size_t n = basis.size();
   const std::size_t m = meas.plan.measurement_count();
+  ChsView view(basis, meas.plan);
 
   obs::ScopedSpan span("cs.chs.reconstruct", "cs.chs.solve_us");
 
@@ -485,8 +396,8 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
 
   // The support grows by sorted insertion each accepted batch and the
   // undo path retracts exactly the last batch, so successive refit
-  // supports share long prefixes: route "ols" and "gls" refits, in both
-  // views, through the incremental factorization cache (prefix reuse,
+  // supports share long prefixes: route "ols" and "gls" refits through
+  // the incremental factorization cache (prefix reuse,
   // O(mk) per new column).  The noise model is fixed for the whole solve
   // (under MAD screening it is the screened one), so GLS whitens y and
   // the row weights once, here.  Custom registry solvers and "bp" keep
@@ -498,7 +409,7 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
                    refit->name() == "gls" ? refit_ctx.noise_stddev
                                           : std::span<const double>{},
                    k_budget, [&view](std::size_t j, std::span<double> out) {
-                     view.column_into(j, out);
+                     view.sampled.column_into(j, out);
                    });
   }
   std::size_t cache_cols_reused = 0;
@@ -598,7 +509,7 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
     }
     if (!res.support.empty()) {
       std::sort(res.support.begin(), res.support.end());
-      const Matrix phi_k = view.support_matrix(res.support);
+      const Matrix phi_k = view.sampled.gather(res.support);
       coef_on_support = refit_fit(phi_k, res.support);
       residual = linalg::subtract(meas.values, phi_k * coef_on_support);
       prev_res_norm = norm2(residual);
@@ -648,7 +559,7 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
     std::sort(res.support.begin(), res.support.end());
 
     // (e) refit on the support via the cache or the registry solver.
-    const Matrix phi_k = view.support_matrix(res.support);
+    const Matrix phi_k = view.sampled.gather(res.support);
     coef_on_support = refit_fit(phi_k, res.support);
 
     // (f) new measurement-domain residual.
@@ -666,7 +577,7 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
       res.support = prev_support;
       coef_on_support = prev_coeffs;
       if (!res.support.empty()) {
-        const Matrix phi_prev = view.support_matrix(res.support);
+        const Matrix phi_prev = view.sampled.gather(res.support);
         residual = linalg::subtract(meas.values,
                                     phi_prev * coef_on_support);
       } else {
@@ -701,23 +612,18 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
   }
 
   // Step 4: x_hat = Phi_K alpha_K.
-  res.reconstruction.assign(n, 0.0);
-  view.reconstruct_into(res.support, coef_on_support, &res.reconstruction);
+  res.reconstruction.resize(n);
+  basis.synthesize_into(res.support, coef_on_support, res.reconstruction);
   return res;
 }
 
-// Shared validation + MAD screening ahead of the core loop.  `solve`
-// runs the core against the caller's basis representation; screening
-// happens at most once (the screened sub-measurement goes straight to
-// the core with screening disabled).
-template <typename Solve>
-ChsResult chs_entry(std::size_t n, std::size_t basis_cols,
-                    const Measurement& meas, const ChsOptions& opts,
-                    const Solve& solve) {
-  if (basis_cols != n) {
-    throw std::invalid_argument("chs_reconstruct: basis must be square");
-  }
-  if (meas.plan.signal_size() != n) {
+}  // namespace
+
+// Validation and MAD screening ahead of the core loop; screening happens
+// at most once (the screened sub-measurement goes straight to the core).
+ChsResult chs_reconstruct(const linalg::Basis& basis, const Measurement& meas,
+                          const ChsOptions& opts) {
+  if (meas.plan.signal_size() != basis.size()) {
     throw std::invalid_argument("chs_reconstruct: plan/basis size mismatch");
   }
   const std::size_t m = meas.plan.measurement_count();
@@ -732,8 +638,8 @@ ChsResult chs_entry(std::size_t n, std::size_t basis_cols,
     std::size_t rejected = 0;
     if (auto screened = mad_screen(meas, opts.mad_threshold, &rejected)) {
       ChsOptions inner = opts;
-      inner.mad_threshold = 0.0;  // screen once; recurse for the solve
-      ChsResult res = solve(*screened, inner);
+      inner.mad_threshold = 0.0;
+      ChsResult res = chs_core(basis, *screened, inner);
       res.outliers_rejected = rejected;
       res.degraded = true;
       if (obs::attached()) {
@@ -744,42 +650,12 @@ ChsResult chs_entry(std::size_t n, std::size_t basis_cols,
       return res;
     }
   }
-  return solve(meas, opts);
+  return chs_core(basis, meas, opts);
 }
-
-// Both dense overloads: `factored` is the basis whose factors step (b)
-// runs through, or null for the generic sweep over `basis`.
-ChsResult dense_chs(const Matrix& basis, const linalg::Basis* factored,
-                    const Measurement& meas, const ChsOptions& opts) {
-  const std::size_t n = basis.rows();
-  return chs_entry(n, basis.cols(), meas, opts,
-                   [&](const Measurement& mm, const ChsOptions& oo) {
-                     DenseChsView view(basis, factored, mm.plan);
-                     return chs_core(view, n, mm, oo);
-                   });
-}
-
-}  // namespace
 
 ChsResult chs_reconstruct(const Matrix& basis, const Measurement& meas,
                           const ChsOptions& opts) {
-  return dense_chs(basis, nullptr, meas, opts);
-}
-
-ChsResult chs_reconstruct(const linalg::Basis& basis, const Measurement& meas,
-                          const ChsOptions& opts) {
-  return dense_chs(basis.dense(), basis.factored() ? &basis : nullptr, meas,
-                   opts);
-}
-
-ChsResult chs_reconstruct(const linalg::LinearOperator& basis,
-                          const Measurement& meas, const ChsOptions& opts) {
-  const std::size_t n = basis.rows();
-  return chs_entry(n, basis.cols(), meas, opts,
-                   [&](const Measurement& mm, const ChsOptions& oo) {
-                     OperatorChsView view(basis, mm.plan);
-                     return chs_core(view, n, mm, oo);
-                   });
+  return chs_reconstruct(linalg::Basis::borrow(basis), meas, opts);
 }
 
 }  // namespace sensedroid::cs

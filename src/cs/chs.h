@@ -94,33 +94,24 @@ struct ChsResult {
   bool degraded = false;              ///< solved on a screened subset
 };
 
-/// Runs the Fig. 6 loop.  `basis` is the N x N synthesis basis Phi;
-/// `meas` carries the plan (locations L), values x_S, and the noise model
-/// used by the "gls" refit.  Throws std::invalid_argument on dimension
-/// mismatches.
-ChsResult chs_reconstruct(const Matrix& basis, const Measurement& meas,
-                          const ChsOptions& opts = {});
-
-/// Same, against a linalg::Basis.  When it is factored (the separable
-/// 2-D DCT of linalg::dct2_factored), step (b) runs Phi^T u as two
-/// factor products, O(w h (w + h)) instead of the O(N^2) sweep; refits
-/// and the reconstruction still read basis.dense().  An unfactored basis
-/// solves exactly as the Matrix overload does on dense().  The factored
-/// analyze rounds differently from the dense sweep (~1e-15 relative), so
-/// results match the Matrix overload on dense() up to near-exact
-/// atom-selection ties.
+/// Runs the Fig. 6 loop against the N x N synthesis basis Phi.  `meas`
+/// carries the plan (locations L), values x_S, and the noise model used
+/// by the "gls" refit.  Every basis read goes through linalg::Basis at
+/// the sampled locations, so a solve copies no rows of Phi.  A factored
+/// basis (the separable 2-D DCT of linalg::dct2_factored) runs step (b)'s
+/// Phi^T u as two factor products, O(w h (w + h)) instead of the O(N^2)
+/// sweep, and forms the refit columns and the synthesis from its
+/// factors, bit for bit the dense matrix's entries; only that analyze
+/// rounds differently from the dense sweep (~1e-15 relative), so results
+/// match a solve on dct2_basis up to near-exact atom-selection ties.
+/// Throws std::invalid_argument on dimension mismatches.
 ChsResult chs_reconstruct(const linalg::Basis& basis, const Measurement& meas,
                           const ChsOptions& opts = {});
 
-/// Operator-core CHS: same Fig. 6 loop against a structured N x N
-/// synthesis operator (e.g. linalg::SubsampledDctOperator with an empty
-/// row list) instead of a materialized basis.  The analyze sweep runs
-/// the operator's fast transform in O(N log N), refits assemble only the
-/// O(K) support columns, and the zone-side state is O(N) instead of the
-/// 8 N^2 bytes of the dense basis.  Column entries are exact, so results
-/// match the dense overload up to near-exact atom-selection ties.
-ChsResult chs_reconstruct(const linalg::LinearOperator& basis,
-                          const Measurement& meas,
+/// Same, against a bare square matrix, read in place
+/// (linalg::Basis::borrow): exactly the solve on a Basis without
+/// factors.
+ChsResult chs_reconstruct(const Matrix& basis, const Measurement& meas,
                           const ChsOptions& opts = {});
 
 /// The interpolation operator Upsilon as a stencil.  Its geometry depends

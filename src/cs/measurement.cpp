@@ -109,17 +109,6 @@ std::unique_ptr<linalg::LinearOperator> dct_sensing_operator(
       plan.signal_size(), std::vector<std::size_t>(idx.begin(), idx.end()));
 }
 
-std::unique_ptr<linalg::LinearOperator> dct2_sensing_operator(
-    const MeasurementPlan& plan, std::size_t width, std::size_t height) {
-  if (width * height != plan.signal_size()) {
-    throw std::invalid_argument(
-        "dct2_sensing_operator: width * height != signal size");
-  }
-  std::span<const std::size_t> idx = plan.indices();
-  return std::make_unique<linalg::SubsampledDctOperator>(
-      width, height, std::vector<std::size_t>(idx.begin(), idx.end()));
-}
-
 Measurement measure_exact(std::span<const double> x, MeasurementPlan plan) {
   Vector values = plan.sample_signal(x);
   SensorNoise none = SensorNoise::homogeneous(values.size(), 0.0);

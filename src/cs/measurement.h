@@ -109,9 +109,4 @@ Measurement measure_exact(std::span<const double> x, MeasurementPlan plan);
 std::unique_ptr<linalg::LinearOperator> dct_sensing_operator(
     const MeasurementPlan& plan);
 
-/// Same, for the separable 2-D basis dct2_basis(width, height); the
-/// plan's signal_size() must equal width * height.
-std::unique_ptr<linalg::LinearOperator> dct2_sensing_operator(
-    const MeasurementPlan& plan, std::size_t width, std::size_t height);
-
 }  // namespace sensedroid::cs

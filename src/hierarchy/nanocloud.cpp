@@ -17,27 +17,24 @@ namespace {
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 constexpr middleware::NodeId kBrokerId = 1'000'000;
 
-// The zone basis, dense form; null in fast_operator mode.  Every branch
-// consumes the same rng draws — one basis seed unless the basis is the
-// separable 2-D DCT — so a campaign toggling fast_operator, or sharing
-// the basis across zones, sees identical node layouts, tiers, and noise
+// The zone basis.  Every branch consumes the same rng draws — one basis
+// seed unless the basis is the separable 2-D DCT — so a campaign sharing
+// the basis across zones sees identical node layouts, tiers, and noise
 // streams downstream.
 std::shared_ptr<const linalg::Basis> make_zone_basis(
     const field::SpatialField& truth, const NanoCloudConfig& config, Rng& rng,
     std::shared_ptr<const linalg::Basis> shared) {
-  if (config.fast_operator && config.basis != linalg::BasisKind::kDct) {
-    throw std::invalid_argument(
-        "NanoCloud: fast_operator requires the DCT basis");
-  }
   const bool separable =
       config.basis == linalg::BasisKind::kDct && config.separable_2d;
   const std::uint64_t seed = separable ? 0 : rng.next_u64();
-  if (config.fast_operator) return nullptr;
   if (shared != nullptr) {
-    if (shared->dense().rows() != truth.size() ||
-        shared->dense().cols() != truth.size()) {
+    // A factored basis of the right size but the transposed shape would
+    // analyze a transposed grid, so its factors must match too.
+    if (shared->size() != truth.size() ||
+        (shared->factored() && (shared->outer().rows() != truth.width() ||
+                                shared->inner().rows() != truth.height()))) {
       throw std::invalid_argument(
-          "NanoCloud: shared basis does not match the zone size");
+          "NanoCloud: shared basis does not match the zone shape");
     }
     return shared;
   }
@@ -47,22 +44,10 @@ std::shared_ptr<const linalg::Basis> make_zone_basis(
                       linalg::make_basis(config.basis, truth.size(), seed)));
 }
 
-std::unique_ptr<linalg::LinearOperator> make_zone_operator(
-    const field::SpatialField& truth, const NanoCloudConfig& config) {
-  if (!config.fast_operator || truth.size() == 0) return nullptr;
-  if (config.separable_2d) {
-    return std::make_unique<linalg::SubsampledDctOperator>(
-        truth.width(), truth.height(), std::vector<std::size_t>{});
-  }
-  return std::make_unique<linalg::SubsampledDctOperator>(
-      truth.size(), std::vector<std::size_t>{});
-}
-
 }  // namespace
 
 std::shared_ptr<const linalg::Basis> shared_zone_basis(
     const field::SpatialField& zone, const NanoCloudConfig& config) {
-  if (config.fast_operator) return nullptr;
   switch (config.basis) {
     case linalg::BasisKind::kDct:
       if (config.separable_2d) {
@@ -89,8 +74,7 @@ NanoCloud::NanoCloud(const field::SpatialField& truth,
       broker_(kBrokerId,
               {truth.width() * config.cell_m / 2.0,
                truth.height() * config.cell_m / 2.0}),
-      basis_(make_zone_basis(truth, config, rng, std::move(shared_basis))),
-      basis_op_(make_zone_operator(truth, config)) {
+      basis_(make_zone_basis(truth, config, rng, std::move(shared_basis))) {
   if (config_.basis == linalg::BasisKind::kDct && config_.separable_2d) {
     config_.chs.grid_height = truth.height();
   }
@@ -346,9 +330,7 @@ GatherResult NanoCloud::reconstruct_readings(
 
   linalg::Vector full;
   if (compressive) {
-    const auto res = basis_op_ != nullptr
-                         ? cs::chs_reconstruct(*basis_op_, meas, config_.chs)
-                         : cs::chs_reconstruct(*basis_, meas, config_.chs);
+    const auto res = cs::chs_reconstruct(*basis_, meas, config_.chs);
     full = res.reconstruction;
     out.support_size = res.support.size();
     out.outliers_rejected = res.outliers_rejected;
@@ -385,10 +367,7 @@ double NanoCloud::total_node_energy_j() const noexcept {
 }
 
 std::size_t NanoCloud::basis_state_bytes() const noexcept {
-  return basis_op_ != nullptr
-             ? basis_op_->state_bytes()
-             : basis_->dense().rows() * basis_->dense().cols() *
-                   sizeof(double);
+  return basis_->state_bytes();
 }
 
 }  // namespace sensedroid::hierarchy

@@ -43,14 +43,6 @@ struct NanoCloudConfig {
   /// 2-D smooth, so this is strictly better than the 1-D DCT of the
   /// stacked vector; disable only for ablation.
   bool separable_2d = true;
-  /// Hold the zone basis as a structured fast-transform operator
-  /// (linalg::SubsampledDctOperator) instead of a materialized N x N
-  /// matrix: O(N) state per zone and O(N log N) analyze sweeps, the
-  /// scaling mode for large grids.  Requires basis == kDct (1-D or
-  /// separable 2-D); any other basis throws std::invalid_argument at
-  /// construction.  Reconstructions match the dense basis up to
-  /// near-exact atom-selection ties.  Default off (seed behavior).
-  bool fast_operator = false;
   /// Reconstruction options.  Defaults: linear Upsilon interpolation —
   /// physical spatial fields are smooth, and pre-smoothing the residual
   /// makes atom selection reliable even at tiny budgets — and GLS refit
@@ -113,7 +105,9 @@ class NanoCloud {
   /// zone's shape; the cloud reads it instead of building its own copy,
   /// and draws exactly the Rng values it would have drawn building one.
   /// Throws std::invalid_argument for empty zones, coverage outside
-  /// [0, 1], or a shared basis whose size does not match the zone.
+  /// [0, 1], or a shared basis whose size does not match the zone (for a
+  /// factored one: whose outer and inner factors are not the zone's
+  /// width and height).
   NanoCloud(const field::SpatialField& truth, const NanoCloudConfig& config,
             Rng& rng,
             std::shared_ptr<const linalg::Basis> shared_basis = nullptr);
@@ -123,11 +117,9 @@ class NanoCloud {
   std::size_t covered_cells() const noexcept { return covered_.size(); }
   middleware::Broker& broker() noexcept { return broker_; }
   const NanoCloudConfig& config() const noexcept { return config_; }
-  /// The dense basis the zone solves against, possibly shared with the
-  /// other zones of its shape; nullptr in fast_operator mode.
-  const linalg::Matrix* basis() const noexcept {
-    return basis_ != nullptr ? &basis_->dense() : nullptr;
-  }
+  /// The basis the zone solves against, possibly shared with the other
+  /// zones of its shape.
+  const linalg::Basis* basis() const noexcept { return basis_.get(); }
 
   /// Member phone by construction index (checkpoint walks them in this
   /// order; indices are stable for the cloud's lifetime).
@@ -156,11 +148,12 @@ class NanoCloud {
   /// Total energy drawn by all member phones so far.
   double total_node_energy_j() const noexcept;
 
-  /// Bytes of basis state this zone reads during a solve: 8 N^2 for the
-  /// dense matrix, O(N) in fast_operator mode (the E25 memory axis).  A
-  /// dense basis may be shared with the other zones of its shape
-  /// (shared_zone_basis), so summing this over zones counts the shared
-  /// matrix once per reader, not the bytes resident.
+  /// Bytes of basis state this zone reads during a solve (the E25
+  /// memory axis): 8 (w^2 + h^2) for the factored separable 2-D DCT,
+  /// 8 N^2 for a basis without factors.  A basis may be shared with the
+  /// other zones of its shape (shared_zone_basis), so summing this over
+  /// zones counts the shared state once per reader, not the bytes
+  /// resident.
   std::size_t basis_state_bytes() const noexcept;
 
  private:
@@ -186,21 +179,19 @@ class NanoCloud {
   std::vector<middleware::MobileNode> nodes_;
   std::vector<std::size_t> covered_;          ///< cells with a node
   std::vector<std::size_t> cell_to_node_;     ///< cell -> index or npos
-  /// Dense basis (with its 1-D factors when it is the separable 2-D
-  /// DCT), possibly shared with other zones; null in fast_operator mode.
+  /// The zone basis (only the 1-D factors when it is the separable 2-D
+  /// DCT), possibly shared with other zones.
   std::shared_ptr<const linalg::Basis> basis_;
-  std::unique_ptr<linalg::LinearOperator> basis_op_;  ///< set iff fast_operator
 };
 
 /// The analytic zone basis for `config` over `zone`'s shape: the
-/// separable 2-D DCT (dense matrix built from, and carrying, its 1-D
-/// factors, so CHS analyzes through them), the 1-D DCT, Haar, or
-/// identity (no factors).  It depends only on the basis kind and the
-/// zone's width and height, so every zone of one shape can read one
-/// immutable copy (LocalCloud shares it this way).
-/// nullptr for the kinds a zone must build itself — Gaussian (seeded
-/// per zone) and PCA (data-driven) — and in fast_operator mode.  Throws
-/// as linalg::make_basis does (Haar needs a power-of-two size).
+/// separable 2-D DCT (only its 1-D factors, which CHS reads every entry
+/// from), or the dense 1-D DCT, Haar, or identity (no factors).  It
+/// depends only on the basis kind and the zone's width and height, so
+/// every zone of one shape can read one immutable copy (LocalCloud
+/// shares it this way).  nullptr for the kinds a zone must build
+/// itself: Gaussian (seeded per zone) and PCA (data-driven).  Throws as
+/// linalg::make_basis does (Haar needs a power-of-two size).
 std::shared_ptr<const linalg::Basis> shared_zone_basis(
     const field::SpatialField& zone, const NanoCloudConfig& config);
 

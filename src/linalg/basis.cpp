@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 #include <utility>
@@ -145,7 +147,41 @@ Matrix dct2_basis(std::size_t width, std::size_t height) {
   return kron_square(a, dct_basis(height));
 }
 
-Basis::Basis(Matrix dense) : dense_(std::move(dense)) {}
+namespace {
+
+void require_square(const Matrix& dense) {
+  if (dense.rows() != dense.cols()) {
+    throw std::invalid_argument("Basis: the matrix must be square");
+  }
+}
+
+void require_indices(std::span<const std::size_t> idx, std::size_t n) {
+  for (const std::size_t i : idx) {
+    if (i >= n) throw std::out_of_range("Basis: index out of range");
+  }
+}
+
+// Grid index g of a factored basis as (g / h, g % h), its outer and inner
+// factor indices.  separable() keeps N below 2^32, so the division runs
+// in 32 bits, which costs less than a 64-bit one.
+std::pair<std::size_t, std::size_t> split(std::size_t g, std::size_t h) {
+  const auto g32 = static_cast<std::uint32_t>(g);
+  const auto h32 = static_cast<std::uint32_t>(h);
+  return {g32 / h32, g32 % h32};
+}
+
+}  // namespace
+
+Basis::Basis(Matrix dense) : owned_(std::move(dense)) {
+  require_square(owned_);
+}
+
+Basis Basis::borrow(const Matrix& dense) {
+  require_square(dense);
+  Basis b;
+  b.borrowed_ = &dense;
+  return b;
+}
 
 Basis Basis::separable(Matrix outer, Matrix inner) {
   const auto square = [](const Matrix& f) {
@@ -154,16 +190,27 @@ Basis Basis::separable(Matrix outer, Matrix inner) {
   if (!square(outer) || !(inner.empty() || square(inner))) {
     throw std::invalid_argument("Basis::separable: factors must be square");
   }
-  Basis b(kron_square(outer, inner.empty() ? outer : inner));
+  if (outer.rows() * (inner.empty() ? outer : inner).rows() >
+      std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("Basis::separable: grid too large");
+  }
+  Basis b;
   b.outer_ = std::move(outer);
   b.inner_ = std::move(inner);
   return b;
 }
 
+std::size_t Basis::state_bytes() const noexcept {
+  const auto bytes = [](const Matrix& m) {
+    return m.rows() * m.cols() * sizeof(double);
+  };
+  return factored() ? bytes(outer_) + bytes(inner_) : bytes(dense());
+}
+
 void Basis::analyze_into(std::span<const double> u, std::span<double> out,
                          std::span<double> scratch) const {
   if (!factored()) {
-    dense_.transpose_times_into(u, out);
+    dense().transpose_times_into(u, out);
     return;
   }
   const Matrix& a = outer_;
@@ -181,6 +228,98 @@ void Basis::analyze_into(std::span<const double> u, std::span<double> out,
   }
   for (std::size_t j = 0; j < w; ++j) {
     combine_rows(s + j * h, 1, b.data().data(), h, h, out.data() + j * h);
+  }
+}
+
+Basis::Rows Basis::rows(std::span<const std::size_t> points) const {
+  require_indices(points, size());
+  Rows out;
+  out.n_ = size();
+  out.outer_.resize(points.size());
+  if (!factored()) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      out.outer_[i] = dense().row(points[i]).data();
+    }
+    return out;
+  }
+  out.h_ = inner().rows();
+  out.inner_.resize(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto [q, r] = split(points[i], out.h_);
+    out.outer_[i] = outer_.row(q).data();
+    out.inner_[i] = inner().row(r).data();
+  }
+  return out;
+}
+
+void Basis::Rows::column_into(std::size_t j, std::span<double> out) const {
+  if (out.size() != size()) {
+    throw std::invalid_argument("Basis::Rows::column_into: size mismatch");
+  }
+  if (j >= n_) throw std::out_of_range("Basis: index out of range");
+  if (inner_.empty()) {
+    for (std::size_t i = 0; i < size(); ++i) out[i] = outer_[i][j];
+    return;
+  }
+  const auto [jo, jl] = split(j, h_);
+  for (std::size_t i = 0; i < size(); ++i) {
+    out[i] = outer_[i][jo] * inner_[i][jl];
+  }
+}
+
+Matrix Basis::Rows::gather(std::span<const std::size_t> cols) const {
+  require_indices(cols, n_);
+  Matrix out(size(), cols.size());
+  if (inner_.empty()) {
+    for (std::size_t i = 0; i < size(); ++i) {
+      double* dst = out.row(i).data();
+      for (std::size_t t = 0; t < cols.size(); ++t) dst[t] = outer_[i][cols[t]];
+    }
+    return out;
+  }
+  for (std::size_t t = 0; t < cols.size(); ++t) {
+    const auto [jo, jl] = split(cols[t], h_);
+    for (std::size_t i = 0; i < size(); ++i) {
+      out(i, t) = outer_[i][jo] * inner_[i][jl];
+    }
+  }
+  return out;
+}
+
+void Basis::synthesize_into(std::span<const std::size_t> cols,
+                            std::span<const double> coef,
+                            std::span<double> out) const {
+  const std::size_t n = size();
+  if (coef.size() != cols.size() || out.size() != n) {
+    throw std::invalid_argument("Basis::synthesize_into: size mismatch");
+  }
+  require_indices(cols, n);
+  std::fill(out.begin(), out.end(), 0.0);
+  if (!factored()) {
+    const Matrix& d = dense();
+    for (std::size_t t = 0; t < cols.size(); ++t) {
+      const std::size_t j = cols[t];
+      const double c = coef[t];
+      for (std::size_t i = 0; i < n; ++i) out[i] += d(i, j) * c;
+    }
+    return;
+  }
+  const Matrix& a = outer_;
+  const Matrix& b = inner();
+  const std::size_t w = a.rows(), h = b.rows();
+  Vector b_col(h);
+  for (std::size_t t = 0; t < cols.size(); ++t) {
+    const auto [jo, jl] = split(cols[t], h);
+    b.col_into(jl, b_col);
+    const double c = coef[t];
+    for (std::size_t i = 0; i < w; ++i) {
+      const double aij = a(i, jo);
+      double* __restrict dst = out.data() + i * h;
+      for (std::size_t k = 0; k < h; ++k) {
+        const double entry = aij * b_col[k];  // Phi(i h + k, cols[t])
+        dst[k] += entry * c;
+      }
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "linalg/matrix.h"
 
@@ -51,26 +52,42 @@ Matrix kronecker(const Matrix& a, const Matrix& b);
 /// which ignores the 2-D neighborhood structure.
 Matrix dct2_basis(std::size_t width, std::size_t height);
 
-/// A synthesis basis Phi as the solvers read it: the dense N x N matrix
-/// and, when Phi is a Kronecker product kron(A, B) of a w x w outer
-/// factor A and an h x h inner factor B (N = w h), those factors, so that
-/// Phi^T u runs as two factor products in O(w h (w + h)) instead of one
-/// O(N^2) sweep.  A factored basis fills its dense matrix from its own
-/// factors and the class is immutable, so the two cannot drift.  A basis
-/// built from a bare matrix carries no factors, whatever that matrix
-/// holds: the factorization travels with the basis and is never inferred.
+/// A synthesis basis Phi as CHS reads it.  A factored basis is a
+/// Kronecker product kron(A, B) of a w x w outer factor A and an h x h
+/// inner factor B (N = w h) and holds only those factors: its state is
+/// O(w^2 + h^2), never the N x N matrix.  Each entry
+/// Phi(i h + k, j h + l) is formed as the one product A(i,j) B(k,l) when
+/// it is read, the product dct2_basis stores, so every gather, column and
+/// synthesis reads the dense matrix's bits.  A basis built from a bare
+/// matrix carries no factors, whatever that matrix holds, and reads the
+/// matrix: the factorization travels with the basis and is never
+/// inferred.  The class is immutable.
 class Basis {
  public:
-  /// A basis without factors; analyze_into() sweeps the dense matrix.
+  /// A basis without factors over a square matrix.  Throws
+  /// std::invalid_argument when `dense` is not square.
   explicit Basis(Matrix dense);
 
-  /// kron(outer, inner) with its dense matrix filled from the factors.
-  /// An empty `inner` means a square grid: inner == outer, stored once.
-  /// Throws std::invalid_argument when a factor is empty or not square.
+  /// A basis without factors that reads `dense` in place rather than a
+  /// copy; `dense` must outlive the basis and every copy of it.  Throws
+  /// as the owning constructor does.
+  static Basis borrow(const Matrix& dense);
+
+  /// kron(outer, inner), holding only the factors.  An empty `inner`
+  /// means a square grid: inner == outer, stored once.  Throws
+  /// std::invalid_argument when a factor is empty or not square, or when
+  /// N reaches 2^32.
   static Basis separable(Matrix outer, Matrix inner = {});
 
-  const Matrix& dense() const noexcept { return dense_; }
+  /// N, the grid size.
+  std::size_t size() const noexcept {
+    return factored() ? outer_.rows() * inner().rows() : dense().rows();
+  }
   bool factored() const noexcept { return !outer_.empty(); }
+  /// The N x N matrix of a basis without factors; empty when factored.
+  const Matrix& dense() const noexcept {
+    return borrowed_ != nullptr ? *borrowed_ : owned_;
+  }
   /// The w x w factor A; empty when the basis is not factored.
   const Matrix& outer() const noexcept { return outer_; }
   /// The h x h factor B (outer() for a square grid); empty when the basis
@@ -78,25 +95,77 @@ class Basis {
   const Matrix& inner() const noexcept {
     return inner_.empty() ? outer_ : inner_;
   }
+  /// Bytes of matrix entries the basis reads: 8 N^2 without factors,
+  /// 8 (w^2 + h^2) factored (8 w^2 for a square grid's one factor).
+  std::size_t state_bytes() const noexcept;
 
   /// Phi^T u into `out` (size N).  Factored: alpha = A^T U B, with U the
   /// w x h row-major view of u, through `scratch` (size >= N) for A^T U;
-  /// it agrees with dense().transpose_times(u) to rounding (~1e-15 ||u||).
-  /// Unfactored: exactly dense().transpose_times_into(u, out), and
-  /// `scratch` is not touched.  Throws std::invalid_argument on a size
-  /// mismatch.
+  /// it agrees with dct2_basis(w, h).transpose_times(u) to rounding
+  /// (~1e-15 ||u||).  Unfactored: exactly
+  /// dense().transpose_times_into(u, out), and `scratch` is not touched.
+  /// Throws std::invalid_argument on a size mismatch.
   void analyze_into(std::span<const double> u, std::span<double> out,
                     std::span<double> scratch) const;
 
+  class Rows;
+
+  /// Phi's rows at the grid points `points` (a solve's sampled
+  /// locations), resolved once for the column and gather reads a solve
+  /// repeats.  The result points into this basis, which must outlive it.
+  /// Throws std::out_of_range on a point >= N.
+  Rows rows(std::span<const std::size_t> points) const;
+
+  /// The K-term synthesis out = sum_t coef[t] Phi(:, cols[t]), into `out`
+  /// (size N), accumulated column by column in the order of `cols`.
+  /// Throws std::invalid_argument on a size mismatch and
+  /// std::out_of_range on an index >= N.
+  void synthesize_into(std::span<const std::size_t> cols,
+                       std::span<const double> coef,
+                       std::span<double> out) const;
+
  private:
-  Matrix dense_;
+  Basis() = default;
+
+  Matrix owned_;                      // the matrix of an owning basis
+  const Matrix* borrowed_ = nullptr;  // the matrix of a borrowing one
   Matrix outer_;
   Matrix inner_;  // empty for a square grid
 };
 
+/// Basis::rows(): for each point, its outer- and inner-factor rows
+/// (factored) or its matrix row, so each entry read is one product (or
+/// one load) with no index arithmetic per point.
+class Basis::Rows {
+ public:
+  /// The number of points.
+  std::size_t size() const noexcept { return outer_.size(); }
+
+  /// Column j at the points: out[i] = Phi(points[i], j).  Throws
+  /// std::invalid_argument when out.size() != size() and
+  /// std::out_of_range on j >= N.
+  void column_into(std::size_t j, std::span<double> out) const;
+
+  /// The size() x |cols| matrix Phi(points, cols): CHS's refit matrix
+  /// Phi~_K.  Throws std::out_of_range on an index >= N.
+  Matrix gather(std::span<const std::size_t> cols) const;
+
+ private:
+  friend class Basis;
+  Rows() = default;
+
+  // Entry (i, j) is outer_[i][j / h_] * inner_[i][j % h_] for a factored
+  // basis and outer_[i][j] for one without factors, whose inner_ is
+  // empty.
+  std::size_t n_ = 0;
+  std::size_t h_ = 0;
+  std::vector<const double*> outer_;
+  std::vector<const double*> inner_;
+};
+
 /// The separable 2-D DCT with its 1-D factors: dct_basis(width) outer,
-/// dct_basis(height) inner (one factor when width == height).  dense()
-/// is bit-identical to dct2_basis(width, height).
+/// dct_basis(height) inner (one factor when width == height).  Its
+/// entries are bit-identical to dct2_basis(width, height)'s.
 Basis dct2_factored(std::size_t width, std::size_t height);
 
 /// Data-driven PCA basis from a trace matrix X (T traces x N grid points),

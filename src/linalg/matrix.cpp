@@ -23,15 +23,33 @@ namespace {
 // m=30, n=256 Fig. 4 regime where this kernel is the single largest
 // term of an OMP solve.  256-bit vectors are deliberate: 512-bit FMA
 // throttles the clock on the build machines this was tuned on.
-// Each saxpy_rowsN helper folds one N-row block starting at `p` (with
-// scalars v[0..N-1]) into o[0..cols).  saxpy_sweep and the batched
-// transpose_times_block both dispatch onto these helpers with the same
-// 8/4/2/1 block partition of the row range, so a signal sees the exact
-// same floating-point operation order on either path.
+// Each saxpy_rowsN helper folds one N-row block (row k of the block
+// starts at rows(k), with scalars v[0..N-1]) into o[0..cols).
+// saxpy_sweep, the batched transpose_times_block and the row-gathered
+// transpose_times_rows_into all dispatch onto these helpers with the
+// same 8/4/2/1 block partition of the row range, so a signal sees the
+// exact same floating-point operation order on every path.
+
+// The rows of a block: `stride` apart from `p`, or the rows `idx` of a
+// row-major matrix at `d` with `cols` columns.
+struct Strided {
+  const double* p;
+  std::size_t stride;
+  const double* operator()(std::size_t k) const { return p + k * stride; }
+};
+struct Gathered {
+  const double* d;
+  const std::size_t* idx;
+  std::size_t cols;
+  const double* operator()(std::size_t k) const { return d + idx[k] * cols; }
+};
+
 #if defined(__AVX2__) && defined(__FMA__)
-inline void saxpy_rows8(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
+template <class Rows>
+inline void saxpy_rows8(Rows rows, const double* __restrict v,
+                        double* __restrict o, std::size_t cols) {
+  const double *p0 = rows(0), *p1 = rows(1), *p2 = rows(2), *p3 = rows(3);
+  const double *p4 = rows(4), *p5 = rows(5), *p6 = rows(6), *p7 = rows(7);
   const __m256d v0 = _mm256_set1_pd(v[0]), v1 = _mm256_set1_pd(v[1]),
                 v2 = _mm256_set1_pd(v[2]), v3 = _mm256_set1_pd(v[3]),
                 v4 = _mm256_set1_pd(v[4]), v5 = _mm256_set1_pd(v[5]),
@@ -42,120 +60,122 @@ inline void saxpy_rows8(const double* __restrict p, const double* __restrict v,
     // FMAs is latency-bound (~4 cycles each), not load-bound.
     __m256d acc0 = _mm256_loadu_pd(o + c);
     __m256d acc1 = _mm256_setzero_pd();
-    acc0 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(p + c), acc0);
-    acc1 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(p + c + stride), acc1);
-    acc0 = _mm256_fmadd_pd(v2, _mm256_loadu_pd(p + c + 2 * stride), acc0);
-    acc1 = _mm256_fmadd_pd(v3, _mm256_loadu_pd(p + c + 3 * stride), acc1);
-    acc0 = _mm256_fmadd_pd(v4, _mm256_loadu_pd(p + c + 4 * stride), acc0);
-    acc1 = _mm256_fmadd_pd(v5, _mm256_loadu_pd(p + c + 5 * stride), acc1);
-    acc0 = _mm256_fmadd_pd(v6, _mm256_loadu_pd(p + c + 6 * stride), acc0);
-    acc1 = _mm256_fmadd_pd(v7, _mm256_loadu_pd(p + c + 7 * stride), acc1);
+    acc0 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(p0 + c), acc0);
+    acc1 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(p1 + c), acc1);
+    acc0 = _mm256_fmadd_pd(v2, _mm256_loadu_pd(p2 + c), acc0);
+    acc1 = _mm256_fmadd_pd(v3, _mm256_loadu_pd(p3 + c), acc1);
+    acc0 = _mm256_fmadd_pd(v4, _mm256_loadu_pd(p4 + c), acc0);
+    acc1 = _mm256_fmadd_pd(v5, _mm256_loadu_pd(p5 + c), acc1);
+    acc0 = _mm256_fmadd_pd(v6, _mm256_loadu_pd(p6 + c), acc0);
+    acc1 = _mm256_fmadd_pd(v7, _mm256_loadu_pd(p7 + c), acc1);
     _mm256_storeu_pd(o + c, _mm256_add_pd(acc0, acc1));
   }
   for (; c < cols; ++c) {
-    o[c] += p[c] * v[0] + p[c + stride] * v[1] + p[c + 2 * stride] * v[2] +
-            p[c + 3 * stride] * v[3] + p[c + 4 * stride] * v[4] +
-            p[c + 5 * stride] * v[5] + p[c + 6 * stride] * v[6] +
-            p[c + 7 * stride] * v[7];
+    o[c] += p0[c] * v[0] + p1[c] * v[1] + p2[c] * v[2] + p3[c] * v[3] +
+            p4[c] * v[4] + p5[c] * v[5] + p6[c] * v[6] + p7[c] * v[7];
   }
 }
 
-inline void saxpy_rows4(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
+template <class Rows>
+inline void saxpy_rows4(Rows rows, const double* __restrict v,
+                        double* __restrict o, std::size_t cols) {
+  const double *p0 = rows(0), *p1 = rows(1), *p2 = rows(2), *p3 = rows(3);
   const __m256d v0 = _mm256_set1_pd(v[0]), v1 = _mm256_set1_pd(v[1]),
                 v2 = _mm256_set1_pd(v[2]), v3 = _mm256_set1_pd(v[3]);
   std::size_t c = 0;
   for (; c + 4 <= cols; c += 4) {
     __m256d acc0 = _mm256_loadu_pd(o + c);
     __m256d acc1 = _mm256_setzero_pd();
-    acc0 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(p + c), acc0);
-    acc1 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(p + c + stride), acc1);
-    acc0 = _mm256_fmadd_pd(v2, _mm256_loadu_pd(p + c + 2 * stride), acc0);
-    acc1 = _mm256_fmadd_pd(v3, _mm256_loadu_pd(p + c + 3 * stride), acc1);
+    acc0 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(p0 + c), acc0);
+    acc1 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(p1 + c), acc1);
+    acc0 = _mm256_fmadd_pd(v2, _mm256_loadu_pd(p2 + c), acc0);
+    acc1 = _mm256_fmadd_pd(v3, _mm256_loadu_pd(p3 + c), acc1);
     _mm256_storeu_pd(o + c, _mm256_add_pd(acc0, acc1));
   }
   for (; c < cols; ++c) {
-    o[c] += p[c] * v[0] + p[c + stride] * v[1] + p[c + 2 * stride] * v[2] +
-            p[c + 3 * stride] * v[3];
+    o[c] += p0[c] * v[0] + p1[c] * v[1] + p2[c] * v[2] + p3[c] * v[3];
   }
 }
 
-inline void saxpy_rows2(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
+template <class Rows>
+inline void saxpy_rows2(Rows rows, const double* __restrict v,
+                        double* __restrict o, std::size_t cols) {
+  const double *p0 = rows(0), *p1 = rows(1);
   const __m256d v0 = _mm256_set1_pd(v[0]), v1 = _mm256_set1_pd(v[1]);
   std::size_t c = 0;
   for (; c + 4 <= cols; c += 4) {
     __m256d acc = _mm256_loadu_pd(o + c);
-    acc = _mm256_fmadd_pd(v0, _mm256_loadu_pd(p + c), acc);
-    acc = _mm256_fmadd_pd(v1, _mm256_loadu_pd(p + c + stride), acc);
+    acc = _mm256_fmadd_pd(v0, _mm256_loadu_pd(p0 + c), acc);
+    acc = _mm256_fmadd_pd(v1, _mm256_loadu_pd(p1 + c), acc);
     _mm256_storeu_pd(o + c, acc);
   }
-  for (; c < cols; ++c) o[c] += p[c] * v[0] + p[c + stride] * v[1];
+  for (; c < cols; ++c) o[c] += p0[c] * v[0] + p1[c] * v[1];
 }
 
-inline void saxpy_rows1(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
-  (void)stride;
+template <class Rows>
+inline void saxpy_rows1(Rows rows, const double* __restrict v,
+                        double* __restrict o, std::size_t cols) {
+  const double* p0 = rows(0);
   const __m256d vr = _mm256_set1_pd(v[0]);
   std::size_t c = 0;
   for (; c + 4 <= cols; c += 4) {
-    _mm256_storeu_pd(o + c, _mm256_fmadd_pd(vr, _mm256_loadu_pd(p + c),
+    _mm256_storeu_pd(o + c, _mm256_fmadd_pd(vr, _mm256_loadu_pd(p0 + c),
                                             _mm256_loadu_pd(o + c)));
   }
-  for (; c < cols; ++c) o[c] += p[c] * v[0];
+  for (; c < cols; ++c) o[c] += p0[c] * v[0];
 }
 #else
-inline void saxpy_rows8(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
+template <class Rows>
+inline void saxpy_rows8(Rows rows, const double* __restrict v,
+                        double* __restrict o, std::size_t cols) {
+  const double *p0 = rows(0), *p1 = rows(1), *p2 = rows(2), *p3 = rows(3);
+  const double *p4 = rows(4), *p5 = rows(5), *p6 = rows(6), *p7 = rows(7);
   const double v0 = v[0], v1 = v[1], v2 = v[2], v3 = v[3];
   const double v4 = v[4], v5 = v[5], v6 = v[6], v7 = v[7];
   for (std::size_t c = 0; c < cols; ++c) {
-    o[c] += p[c] * v0 + p[c + stride] * v1 + p[c + 2 * stride] * v2 +
-            p[c + 3 * stride] * v3 + p[c + 4 * stride] * v4 +
-            p[c + 5 * stride] * v5 + p[c + 6 * stride] * v6 +
-            p[c + 7 * stride] * v7;
+    o[c] += p0[c] * v0 + p1[c] * v1 + p2[c] * v2 + p3[c] * v3 +
+            p4[c] * v4 + p5[c] * v5 + p6[c] * v6 + p7[c] * v7;
   }
 }
 
-inline void saxpy_rows4(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
+template <class Rows>
+inline void saxpy_rows4(Rows rows, const double* __restrict v,
+                        double* __restrict o, std::size_t cols) {
+  const double *p0 = rows(0), *p1 = rows(1), *p2 = rows(2), *p3 = rows(3);
   const double v0 = v[0], v1 = v[1], v2 = v[2], v3 = v[3];
   for (std::size_t c = 0; c < cols; ++c) {
-    o[c] += p[c] * v0 + p[c + stride] * v1 + p[c + 2 * stride] * v2 +
-            p[c + 3 * stride] * v3;
+    o[c] += p0[c] * v0 + p1[c] * v1 + p2[c] * v2 + p3[c] * v3;
   }
 }
 
-inline void saxpy_rows2(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
+template <class Rows>
+inline void saxpy_rows2(Rows rows, const double* __restrict v,
+                        double* __restrict o, std::size_t cols) {
+  const double *p0 = rows(0), *p1 = rows(1);
   const double v0 = v[0], v1 = v[1];
-  for (std::size_t c = 0; c < cols; ++c) {
-    o[c] += p[c] * v0 + p[c + stride] * v1;
-  }
+  for (std::size_t c = 0; c < cols; ++c) o[c] += p0[c] * v0 + p1[c] * v1;
 }
 
-inline void saxpy_rows1(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
-  (void)stride;
+template <class Rows>
+inline void saxpy_rows1(Rows rows, const double* __restrict v,
+                        double* __restrict o, std::size_t cols) {
+  const double* p0 = rows(0);
   const double vr = v[0];
-  for (std::size_t c = 0; c < cols; ++c) o[c] += p[c] * vr;
+  for (std::size_t c = 0; c < cols; ++c) o[c] += p0[c] * vr;
 }
 #endif
 
-void saxpy_sweep(const double* __restrict d, const double* __restrict v,
-                 double* __restrict o, std::size_t rows, std::size_t cols) {
+// o[0..cols) += sum over the `count` rows rows(r) of rows(r)[c] * v[r],
+// in the 8/4/2/1 block partition.  `block(r)` addresses the block whose
+// first row is r.
+template <class Block>
+void saxpy_sweep(Block block, const double* __restrict v,
+                 double* __restrict o, std::size_t count, std::size_t cols) {
   std::size_t r = 0;
-  for (; r + 8 <= rows; r += 8) saxpy_rows8(d + r * cols, v + r, o, cols, cols);
-  for (; r + 4 <= rows; r += 4) saxpy_rows4(d + r * cols, v + r, o, cols, cols);
-  for (; r + 2 <= rows; r += 2) saxpy_rows2(d + r * cols, v + r, o, cols, cols);
-  for (; r < rows; ++r) saxpy_rows1(d + r * cols, v + r, o, cols, cols);
+  for (; r + 8 <= count; r += 8) saxpy_rows8(block(r), v + r, o, cols);
+  for (; r + 4 <= count; r += 4) saxpy_rows4(block(r), v + r, o, cols);
+  for (; r + 2 <= count; r += 2) saxpy_rows2(block(r), v + r, o, cols);
+  for (; r < count; ++r) saxpy_rows1(block(r), v + r, o, cols);
 }
 
 }  // namespace
@@ -323,7 +343,30 @@ void Matrix::transpose_times_into(std::span<const double> v,
     throw std::invalid_argument("Matrix::transpose_times_into: out size");
   }
   std::fill(out.begin(), out.end(), 0.0);
-  saxpy_sweep(data_.data(), v.data(), out.data(), rows_, cols_);
+  const double* d = data_.data();
+  const std::size_t cols = cols_;
+  saxpy_sweep([d, cols](std::size_t r) { return Strided{d + r * cols, cols}; },
+              v.data(), out.data(), rows_, cols_);
+}
+
+void Matrix::transpose_times_rows_into(std::span<const std::size_t> rows,
+                                       std::span<const double> v,
+                                       std::span<double> out) const {
+  if (v.size() != rows.size() || out.size() != cols_) {
+    throw std::invalid_argument("Matrix::transpose_times_rows_into: size");
+  }
+  for (const std::size_t r : rows) {
+    if (r >= rows_) {
+      throw std::out_of_range("Matrix::transpose_times_rows_into: row");
+    }
+  }
+  std::fill(out.begin(), out.end(), 0.0);
+  const double* d = data_.data();
+  const std::size_t* idx = rows.data();
+  const std::size_t cols = cols_;
+  saxpy_sweep(
+      [d, idx, cols](std::size_t r) { return Gathered{d, idx + r, cols}; },
+      v.data(), out.data(), rows.size(), cols_);
 }
 
 void Matrix::transpose_times_sqnorms_into(std::span<const double> v,
@@ -391,25 +434,29 @@ void Matrix::transpose_times_block(std::span<const double> rs,
     for (; r + 8 <= rows_; r += 8) {
       const double* p = d + r * cols_ + c0;
       for (std::size_t b = 0; b < count; ++b) {
-        saxpy_rows8(p, v + b * rows_ + r, o + b * cols_ + c0, cols_, tw);
+        saxpy_rows8(Strided{p, cols_}, v + b * rows_ + r,
+                    o + b * cols_ + c0, tw);
       }
     }
     for (; r + 4 <= rows_; r += 4) {
       const double* p = d + r * cols_ + c0;
       for (std::size_t b = 0; b < count; ++b) {
-        saxpy_rows4(p, v + b * rows_ + r, o + b * cols_ + c0, cols_, tw);
+        saxpy_rows4(Strided{p, cols_}, v + b * rows_ + r,
+                    o + b * cols_ + c0, tw);
       }
     }
     for (; r + 2 <= rows_; r += 2) {
       const double* p = d + r * cols_ + c0;
       for (std::size_t b = 0; b < count; ++b) {
-        saxpy_rows2(p, v + b * rows_ + r, o + b * cols_ + c0, cols_, tw);
+        saxpy_rows2(Strided{p, cols_}, v + b * rows_ + r,
+                    o + b * cols_ + c0, tw);
       }
     }
     for (; r < rows_; ++r) {
       const double* p = d + r * cols_ + c0;
       for (std::size_t b = 0; b < count; ++b) {
-        saxpy_rows1(p, v + b * rows_ + r, o + b * cols_ + c0, cols_, tw);
+        saxpy_rows1(Strided{p, cols_}, v + b * rows_ + r,
+                    o + b * cols_ + c0, tw);
       }
     }
   }

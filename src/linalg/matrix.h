@@ -102,6 +102,14 @@ class Matrix {
   void transpose_times_into(std::span<const double> v,
                             std::span<double> out) const;
 
+  /// select_rows(rows).transpose_times_into(v, out) without the copy:
+  /// the same sweep, bit for bit, reading the selected rows in place.
+  /// Throws std::invalid_argument on a size mismatch and
+  /// std::out_of_range on a row index >= rows().
+  void transpose_times_rows_into(std::span<const std::size_t> rows,
+                                 std::span<const double> v,
+                                 std::span<double> out) const;
+
   /// Copies column c into a caller-owned buffer of size rows().
   void col_into(std::size_t c, std::span<double> out) const;
 

@@ -254,34 +254,9 @@ SubsampledDctOperator::SubsampledDctOperator(std::size_t n,
       throw std::out_of_range("SubsampledDctOperator: row index >= n");
     }
   }
-  plan_a_.build(n_);
-  scale0_a_ = std::sqrt(1.0 / static_cast<double>(n_));
-  scale_a_ = std::sqrt(2.0 / static_cast<double>(n_));
-  precompute_sqnorms();
-}
-
-SubsampledDctOperator::SubsampledDctOperator(std::size_t width,
-                                             std::size_t height,
-                                             std::vector<std::size_t> row_idx)
-    : n_(width * height),
-      width_(width),
-      height_(height),
-      row_idx_(std::move(row_idx)) {
-  if (width_ == 0 || height_ == 0) {
-    throw std::invalid_argument(
-        "SubsampledDctOperator: dimensions must be positive");
-  }
-  for (std::size_t r : row_idx_) {
-    if (r >= n_) {
-      throw std::out_of_range("SubsampledDctOperator: row index >= n");
-    }
-  }
-  plan_a_.build(width_);
-  plan_b_.build(height_);
-  scale0_a_ = std::sqrt(1.0 / static_cast<double>(width_));
-  scale_a_ = std::sqrt(2.0 / static_cast<double>(width_));
-  scale0_b_ = std::sqrt(1.0 / static_cast<double>(height_));
-  scale_b_ = std::sqrt(2.0 / static_cast<double>(height_));
+  plan_.build(n_);
+  scale0_ = std::sqrt(1.0 / static_cast<double>(n_));
+  scale_ = std::sqrt(2.0 / static_cast<double>(n_));
   precompute_sqnorms();
 }
 
@@ -289,72 +264,25 @@ std::size_t SubsampledDctOperator::state_bytes() const noexcept {
   std::size_t bytes = sizeof(*this);
   bytes += row_idx_.size() * sizeof(std::size_t);
   bytes += col_sqnorms_.size() * sizeof(double);
-  for (const auto& rc : plan_a_.recip) bytes += rc.size() * sizeof(double);
-  for (const auto& rc : plan_b_.recip) bytes += rc.size() * sizeof(double);
+  for (const auto& rc : plan_.recip) bytes += rc.size() * sizeof(double);
   return bytes;
-}
-
-void SubsampledDctOperator::synth_1d(const Plan& plan, double scale0,
-                                     double scale, double* x,
-                                     double* tmp) const {
-  x[0] *= scale0;
-  for (std::size_t k = 1; k < plan.len; ++k) x[k] *= scale;
-  plan.inverse(x, tmp);
-}
-
-void SubsampledDctOperator::analyze_1d(const Plan& plan, double scale0,
-                                       double scale, double* x,
-                                       double* tmp) const {
-  plan.forward(x, tmp);
-  x[0] *= scale0;
-  for (std::size_t k = 1; k < plan.len; ++k) x[k] *= scale;
 }
 
 void SubsampledDctOperator::full_synthesis(std::span<const double> alpha,
                                            std::span<double> grid) const {
-  if (width_ == 0) {
-    for (std::size_t k = 0; k < n_; ++k) grid[k] = alpha[k];
-    Vector tmp(n_);
-    synth_1d(plan_a_, scale0_a_, scale_a_, grid.data(), tmp.data());
-    return;
-  }
-  // Separable: height synthesis down each width column, then width
-  // synthesis across each height index (grid index g = i*h + k).
-  const std::size_t w = width_, h = height_;
-  for (std::size_t g = 0; g < n_; ++g) grid[g] = alpha[g];
-  Vector tmp(std::max(w, h));
-  for (std::size_t j = 0; j < w; ++j) {
-    synth_1d(plan_b_, scale0_b_, scale_b_, grid.data() + j * h, tmp.data());
-  }
-  Vector lane(w);
-  for (std::size_t k = 0; k < h; ++k) {
-    for (std::size_t i = 0; i < w; ++i) lane[i] = grid[i * h + k];
-    synth_1d(plan_a_, scale0_a_, scale_a_, lane.data(), tmp.data());
-    for (std::size_t i = 0; i < w; ++i) grid[i * h + k] = lane[i];
-  }
+  grid[0] = alpha[0] * scale0_;
+  for (std::size_t k = 1; k < n_; ++k) grid[k] = alpha[k] * scale_;
+  Vector tmp(n_);
+  plan_.inverse(grid.data(), tmp.data());
 }
 
 void SubsampledDctOperator::full_analysis(std::span<const double> grid,
                                           std::span<double> alpha) const {
-  if (width_ == 0) {
-    for (std::size_t k = 0; k < n_; ++k) alpha[k] = grid[k];
-    Vector tmp(n_);
-    analyze_1d(plan_a_, scale0_a_, scale_a_, alpha.data(), tmp.data());
-    return;
-  }
-  const std::size_t w = width_, h = height_;
-  for (std::size_t g = 0; g < n_; ++g) alpha[g] = grid[g];
-  Vector tmp(std::max(w, h));
-  for (std::size_t i = 0; i < w; ++i) {
-    analyze_1d(plan_b_, scale0_b_, scale_b_, alpha.data() + i * h,
-               tmp.data());
-  }
-  Vector lane(w);
-  for (std::size_t l = 0; l < h; ++l) {
-    for (std::size_t j = 0; j < w; ++j) lane[j] = alpha[j * h + l];
-    analyze_1d(plan_a_, scale0_a_, scale_a_, lane.data(), tmp.data());
-    for (std::size_t j = 0; j < w; ++j) alpha[j * h + l] = lane[j];
-  }
+  for (std::size_t k = 0; k < n_; ++k) alpha[k] = grid[k];
+  Vector tmp(n_);
+  plan_.forward(alpha.data(), tmp.data());
+  alpha[0] *= scale0_;
+  for (std::size_t k = 1; k < n_; ++k) alpha[k] *= scale_;
 }
 
 void SubsampledDctOperator::apply_into(std::span<const double> x,
@@ -398,98 +326,37 @@ void SubsampledDctOperator::column_into(std::size_t c,
   if (out.size() != rows()) {
     throw std::invalid_argument("SubsampledDctOperator::column_into: size");
   }
-  const std::size_t m = rows();
-  if (width_ == 0) {
-    for (std::size_t r = 0; r < m; ++r) {
-      const std::size_t g = row_idx_.empty() ? r : row_idx_[r];
-      out[r] = dct_entry(n_, scale0_a_, scale_a_, g, c);
-    }
-    return;
-  }
-  // 2-D entry (g, c) = a(i, j) * b(k, l) with g = i*h + k, c = j*h + l —
-  // the same factor product dct2_basis writes.
-  const std::size_t h = height_;
-  const std::size_t j = c / h, l = c % h;
-  for (std::size_t r = 0; r < m; ++r) {
+  for (std::size_t r = 0; r < rows(); ++r) {
     const std::size_t g = row_idx_.empty() ? r : row_idx_[r];
-    const double aij = dct_entry(width_, scale0_a_, scale_a_, g / h, j);
-    const double bkl = dct_entry(height_, scale0_b_, scale_b_, g % h, l);
-    out[r] = aij * bkl;
+    out[r] = dct_entry(n_, scale0_, scale_, g, c);
   }
-}
-
-Vector SubsampledDctOperator::full_sqnorms_1d(
-    std::size_t len, const Plan& plan, double scale0, double scale,
-    std::span<const std::size_t> sel) const {
-  // cos^2 t = (1 + cos 2t) / 2 turns every column's squared norm over
-  // the selected rows into one unscaled forward DCT of the row-indicator
-  // vector: sq[c] = c_c^2 (m + S_c)/2 with S_c = X_{2c} folded by the
-  // X_{2len-k} = -X_k symmetry.  O(len log len) instead of O(m * len).
-  const std::size_t m = sel.empty() ? len : sel.size();
-  Vector t(len, 0.0);
-  if (sel.empty()) {
-    for (std::size_t i = 0; i < len; ++i) t[i] = 1.0;
-  } else {
-    for (std::size_t g : sel) t[g] += 1.0;
-  }
-  Vector tmp(len);
-  plan.forward(t.data(), tmp.data());
-  Vector sq(len);
-  sq[0] = scale0 * scale0 * static_cast<double>(m);
-  const double s2 = scale * scale;
-  for (std::size_t c = 1; c < len; ++c) {
-    double s_c = 0.0;
-    if (2 * c < len) {
-      s_c = t[2 * c];
-    } else if (2 * c > len) {
-      s_c = -t[2 * len - 2 * c];
-    }
-    sq[c] = s2 * (static_cast<double>(m) + s_c) / 2.0;
-  }
-  return sq;
 }
 
 void SubsampledDctOperator::precompute_sqnorms() {
-  col_sqnorms_.assign(n_, 0.0);
-  if (width_ == 0) {
-    col_sqnorms_ = full_sqnorms_1d(n_, plan_a_, scale0_a_, scale_a_,
-                                   row_idx_);
-    return;
-  }
-  const std::size_t w = width_, h = height_;
+  // cos^2 t = (1 + cos 2t) / 2 turns every column's squared norm over
+  // the selected rows into one unscaled forward DCT of the row-indicator
+  // vector: sq[c] = c_c^2 (m + S_c)/2 with S_c = X_{2c} folded by the
+  // X_{2n-k} = -X_k symmetry.  O(n log n) instead of O(m * n).
+  const std::size_t m = rows();
+  Vector t(n_, 0.0);
   if (row_idx_.empty()) {
-    // Full separable operator: the column norm factorizes across the
-    // two 1-D factors.
-    const Vector sq_a =
-        full_sqnorms_1d(w, plan_a_, scale0_a_, scale_a_, {});
-    const Vector sq_b =
-        full_sqnorms_1d(h, plan_b_, scale0_b_, scale_b_, {});
-    for (std::size_t j = 0; j < w; ++j) {
-      for (std::size_t l = 0; l < h; ++l) {
-        col_sqnorms_[j * h + l] = sq_a[j] * sq_b[l];
-      }
-    }
-    return;
+    for (std::size_t i = 0; i < n_; ++i) t[i] = 1.0;
+  } else {
+    for (std::size_t g : row_idx_) t[g] += 1.0;
   }
-  // Subsampled 2-D does not factorize; accumulate squared row outer
-  // products with the 1-D factor rows cached per selected grid point:
-  // O(m (w + h)) cosines + O(m n) flops, still O(n) memory.
-  Vector arow(w), brow(h);
-  for (std::size_t g : row_idx_) {
-    const std::size_t i = g / h, k = g % h;
-    for (std::size_t j = 0; j < w; ++j) {
-      arow[j] = dct_entry(w, scale0_a_, scale_a_, i, j);
+  Vector tmp(n_);
+  plan_.forward(t.data(), tmp.data());
+  col_sqnorms_.assign(n_, 0.0);
+  col_sqnorms_[0] = scale0_ * scale0_ * static_cast<double>(m);
+  const double s2 = scale_ * scale_;
+  for (std::size_t c = 1; c < n_; ++c) {
+    double s_c = 0.0;
+    if (2 * c < n_) {
+      s_c = t[2 * c];
+    } else if (2 * c > n_) {
+      s_c = -t[2 * n_ - 2 * c];
     }
-    for (std::size_t l = 0; l < h; ++l) {
-      brow[l] = dct_entry(h, scale0_b_, scale_b_, k, l);
-    }
-    for (std::size_t j = 0; j < w; ++j) {
-      const double aa = arow[j] * arow[j];
-      double* __restrict dst = col_sqnorms_.data() + j * h;
-      for (std::size_t l = 0; l < h; ++l) {
-        dst[l] += aa * brow[l] * brow[l];
-      }
-    }
+    col_sqnorms_[c] = s2 * (static_cast<double>(m) + s_c) / 2.0;
   }
 }
 
@@ -499,37 +366,6 @@ void SubsampledDctOperator::column_sqnorms_into(std::span<double> out) const {
         "SubsampledDctOperator::column_sqnorms_into: size");
   }
   for (std::size_t c = 0; c < n_; ++c) out[c] = col_sqnorms_[c];
-}
-
-// ---------------------------------------------------------------------------
-// ScaledRowOperator
-// ---------------------------------------------------------------------------
-
-ScaledRowOperator::ScaledRowOperator(const LinearOperator& inner,
-                                     std::span<const double> weights)
-    : inner_(&inner), weights_(weights) {
-  if (weights_.size() != inner_->rows()) {
-    throw std::invalid_argument("ScaledRowOperator: weights size != rows");
-  }
-}
-
-void ScaledRowOperator::apply_into(std::span<const double> x,
-                                   std::span<double> out) const {
-  inner_->apply_into(x, out);
-  for (std::size_t r = 0; r < out.size(); ++r) out[r] *= weights_[r];
-}
-
-void ScaledRowOperator::apply_transpose_into(std::span<const double> y,
-                                             std::span<double> out) const {
-  Vector scaled(y.size());
-  for (std::size_t r = 0; r < y.size(); ++r) scaled[r] = y[r] * weights_[r];
-  inner_->apply_transpose_into(scaled, out);
-}
-
-void ScaledRowOperator::column_into(std::size_t c,
-                                    std::span<double> out) const {
-  inner_->column_into(c, out);
-  for (std::size_t r = 0; r < out.size(); ++r) out[r] *= weights_[r];
 }
 
 }  // namespace sensedroid::linalg

@@ -113,7 +113,7 @@ class DenseOperator final : public LinearOperator {
   const Matrix* a_;
 };
 
-/// Phi = (selected rows) x (orthonormal DCT synthesis basis), the
+/// Phi = (selected rows) x (orthonormal 1-D DCT synthesis basis), the
 /// measurement operator of eq. 7 when the zone basis is kDct — without
 /// ever forming the n x n basis.  apply runs a fast inverse DCT
 /// (DCT-III butterfly recursion) then gathers the selected rows;
@@ -122,23 +122,15 @@ class DenseOperator final : public LinearOperator {
 /// 2^a * q (the odd tail q falls back to a naive O(q^2) base case, so
 /// non-power-of-two sizes stay exact, just less fast).  State is
 /// O(m + n): the row list, per-level twiddle factors, and precomputed
-/// column norms.
-///
-/// Supports both the 1-D DCT basis (dct_basis) and the separable 2-D
-/// basis (dct2_basis) under the same eq.-1 column stacking; column
-/// entries are computed with the exact expressions those builders use,
-/// so refits against gathered columns match the dense path bit-for-bit.
+/// column norms.  Column entries are computed with the exact expression
+/// dct_basis uses, so refits against gathered columns match the dense
+/// path bit-for-bit.
 class SubsampledDctOperator final : public LinearOperator {
  public:
   /// 1-D basis of size n; `row_idx` selects the measured grid points in
   /// order (values < n; an empty list means "all n rows", i.e. the full
   /// square synthesis operator).
   SubsampledDctOperator(std::size_t n, std::vector<std::size_t> row_idx);
-
-  /// Separable 2-D basis over a width x height grid (n = width*height),
-  /// matching dct2_basis's column ordering.
-  SubsampledDctOperator(std::size_t width, std::size_t height,
-                        std::vector<std::size_t> row_idx);
 
   std::size_t rows() const noexcept override {
     return row_idx_.empty() ? n_ : row_idx_.size();
@@ -164,53 +156,17 @@ class SubsampledDctOperator final : public LinearOperator {
     void inverse(double* x, double* tmp) const;   // unscaled DCT-III
   };
 
-  void synth_1d(const Plan& plan, double scale0, double scale, double* x,
-                double* tmp) const;
-  void analyze_1d(const Plan& plan, double scale0, double scale, double* x,
-                  double* tmp) const;
   void full_synthesis(std::span<const double> alpha,
                       std::span<double> grid) const;
   void full_analysis(std::span<const double> grid,
                      std::span<double> alpha) const;
-  Vector full_sqnorms_1d(std::size_t len, const Plan& plan, double scale0,
-                         double scale,
-                         std::span<const std::size_t> sel) const;
   void precompute_sqnorms();
 
   std::size_t n_ = 0;
-  std::size_t width_ = 0;   // 0 for 1-D
-  std::size_t height_ = 0;  // 0 for 1-D
   std::vector<std::size_t> row_idx_;
-  Plan plan_a_;             // length n_ (1-D) or width_ (2-D)
-  Plan plan_b_;             // length height_ (2-D only)
-  double scale0_a_ = 0.0, scale_a_ = 0.0;
-  double scale0_b_ = 0.0, scale_b_ = 0.0;
+  Plan plan_;
+  double scale0_ = 0.0, scale_ = 0.0;
   Vector col_sqnorms_;
-};
-
-/// Row-scaled view D * A (D diagonal from `weights`): the GLS whitening
-/// shape.  Non-owning — both the inner operator and the weights must
-/// outlive this view.
-class ScaledRowOperator final : public LinearOperator {
- public:
-  ScaledRowOperator(const LinearOperator& inner,
-                    std::span<const double> weights);
-
-  std::size_t rows() const noexcept override { return inner_->rows(); }
-  std::size_t cols() const noexcept override { return inner_->cols(); }
-  std::size_t state_bytes() const noexcept override {
-    return inner_->state_bytes() + weights_.size() * sizeof(double);
-  }
-
-  void apply_into(std::span<const double> x,
-                  std::span<double> out) const override;
-  void apply_transpose_into(std::span<const double> y,
-                            std::span<double> out) const override;
-  void column_into(std::size_t c, std::span<double> out) const override;
-
- private:
-  const LinearOperator* inner_;
-  std::span<const double> weights_;
 };
 
 }  // namespace sensedroid::linalg

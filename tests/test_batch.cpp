@@ -1,14 +1,18 @@
 // Batch-of-signals solving and structured operators (DESIGN.md §15):
-// the blocked A^T R kernel, the fast-DCT subsampled operator against its
-// dense twin, batch-vs-sequential equality for every registry solver,
-// operator-core CHS, and the NanoCloud fast_operator mode.
+// the blocked A^T R kernel, the fast 1-D DCT subsampled operator against
+// its dense twin, batch-vs-sequential equality for every registry
+// solver, and CHS on the matrix-free factored basis against the dense
+// matrix, standalone and inside a NanoCloud.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <memory>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "cs/cancel.h"
@@ -83,6 +87,31 @@ TEST(TransposeTimesBlock, BitIdenticalToPerSignalSweeps) {
                                                  << " col " << j;
     }
   }
+}
+
+// The sampled-rows sweep CHS's zero-fill analyze runs on a basis without
+// factors reads the rows in place; it must be the sweep over their copy,
+// bit for bit, across the 8/4/2/1 row blocks and the column tails.
+TEST(TransposeTimesRows, BitIdenticalToTheSelectRowsSweep) {
+  sl::Rng rng(13);
+  for (int d = 0; d < 200; ++d) {
+    const std::size_t rows = 1 + rng.uniform_index(40);
+    const std::size_t cols = 1 + rng.uniform_index(41);
+    const auto a = random_matrix(rows, cols, 1000 + d);
+    const auto idx =
+        rng.sample_without_replacement(rows, rng.uniform_index(rows + 1));
+    const auto v = rng.gaussian_vector(idx.size());
+    sl::Vector got(cols, -1.0), want(cols);
+    a.transpose_times_rows_into(idx, v, got);
+    a.select_rows(idx).transpose_times_into(v, want);
+    ASSERT_EQ(0, std::memcmp(got.data(), want.data(), cols * sizeof(double)))
+        << "draw " << d;
+  }
+  const auto a = random_matrix(4, 3, 14);
+  sl::Vector out(3), v(1);
+  const std::vector<std::size_t> bad = {4};
+  EXPECT_THROW(a.transpose_times_rows_into(bad, v, out), std::out_of_range);
+  EXPECT_THROW(a.transpose_times_rows_into({}, v, out), std::invalid_argument);
 }
 
 TEST(Dct2Basis, SeparableFillMatchesKroneckerExactly) {
@@ -168,18 +197,6 @@ TEST(SubsampledDctOperator, MatchesDense1d) {
   }
 }
 
-TEST(SubsampledDctOperator, MatchesDense2d) {
-  // 8 x 12 grid (n = 96): separable basis with distinct factor lengths.
-  const std::size_t w = 8, h = 12, n = w * h;
-  const auto basis = sl::dct2_basis(w, h);
-  sl::Rng rng(77);
-  auto rows = rng.sample_without_replacement(n, 40);
-  std::vector<std::size_t> idx(rows.begin(), rows.end());
-  std::sort(idx.begin(), idx.end());
-  sl::SubsampledDctOperator op(w, h, idx);
-  expect_operator_matches_dense(op, dense_rows(basis, idx), 1e-12, 78);
-}
-
 TEST(SubsampledDctOperator, EmptyRowListIsFullSquareOperator) {
   const std::size_t n = 48;
   sl::SubsampledDctOperator op(n, {});
@@ -199,21 +216,6 @@ TEST(SubsampledDctOperator, StateIsLinearNotQuadratic) {
   EXPECT_LT(op.state_bytes(), dense_bytes / 10);
 }
 
-TEST(ScaledRowOperator, MatchesDenseWhitening) {
-  const std::size_t m = 20, n = 32;
-  const auto a = random_matrix(m, n, 81);
-  sl::Rng rng(82);
-  std::vector<double> w(m);
-  for (double& v : w) v = rng.uniform(0.5, 2.0);
-  sl::Matrix scaled = a;
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) scaled(i, j) *= w[i];
-  }
-  sl::DenseOperator inner(a);
-  sl::ScaledRowOperator op(inner, w);
-  expect_operator_matches_dense(op, scaled, 1e-12, 83);
-}
-
 TEST(SensingOperatorFactories, MatchSelectRows) {
   sl::Rng rng(84);
   const std::size_t n = 96;
@@ -221,10 +223,6 @@ TEST(SensingOperatorFactories, MatchSelectRows) {
   auto op1 = sc::dct_sensing_operator(plan);
   expect_operator_matches_dense(*op1, plan.select_rows(sl::dct_basis(n)),
                                 1e-12, 85);
-  auto op2 = sc::dct2_sensing_operator(plan, 8, 12);
-  expect_operator_matches_dense(*op2, plan.select_rows(sl::dct2_basis(8, 12)),
-                                1e-12, 86);
-  EXPECT_THROW(sc::dct2_sensing_operator(plan, 8, 11), std::invalid_argument);
 }
 
 // ------------------------------------------------ batch vs sequential ----
@@ -373,98 +371,85 @@ TEST(SolveBatch, CancelledTokenStopsWholeBatchLikeSequential) {
   }
 }
 
-// ----------------------------------------------------- operator CHS ----
+// ------------------------------------------------ factored-basis CHS ----
+
+// CHS on the factored separable DCT against CHS on its dense matrix.  The
+// factored basis forms every refit and synthesis entry bit for bit as the
+// dense matrix holds it; only step (b)'s factor products round
+// differently, so the two select the same atoms and agree to rounding.
+// A 1-D DCT is the factored basis of a one-column grid, kron([1], dct_n).
+namespace {
+
+void expect_factored_matches_dense(const sl::Basis& factored,
+                                   const sl::Matrix& dense,
+                                   const sc::Measurement& meas,
+                                   const sc::ChsOptions& opts) {
+  ASSERT_TRUE(factored.factored());
+  const auto want = sc::chs_reconstruct(dense, meas, opts);
+  const auto got = sc::chs_reconstruct(factored, meas, opts);
+  EXPECT_FALSE(want.support.empty());
+  EXPECT_EQ(got.support, want.support);
+  EXPECT_LE(max_abs_diff(got.coefficients, want.coefficients), 1e-9);
+  EXPECT_LE(max_abs_diff(got.reconstruction, want.reconstruction), 1e-9);
+}
+
+sc::Measurement sparse_measurement(const sl::Matrix& basis,
+                                   std::size_t pool, std::size_t k,
+                                   std::size_t m, sl::Rng& rng) {
+  sl::Vector alpha(basis.cols(), 0.0);
+  for (std::size_t j : rng.sample_without_replacement(pool, k)) {
+    alpha[j] = rng.uniform(1.0, 2.0);
+  }
+  const auto x = sl::synthesize(basis, alpha);
+  return sc::measure_exact(x,
+                           sc::MeasurementPlan::random(basis.cols(), m, rng));
+}
+
+}  // namespace
 
 TEST(ChsOperator, MatchesDenseBasis1d) {
   const std::size_t n = 64;
   const auto basis = sl::dct_basis(n);
   sl::Rng rng(100);
-  sl::Vector alpha(n, 0.0);
-  for (std::size_t j : rng.sample_without_replacement(n, 6)) {
-    alpha[j] = rng.uniform(1.0, 2.0);
-  }
-  const auto x = sl::synthesize(basis, alpha);
-  auto meas = sc::measure_exact(x, sc::MeasurementPlan::random(n, 28, rng));
-
+  const auto meas = sparse_measurement(basis, n, 6, 28, rng);
   sc::ChsOptions opts;
   opts.max_support = 10;
-  const auto dense = sc::chs_reconstruct(basis, meas, opts);
-  sl::SubsampledDctOperator op(n, {});
-  const auto fast = sc::chs_reconstruct(op, meas, opts);
-
-  EXPECT_EQ(fast.support, dense.support);
-  EXPECT_LE(max_abs_diff(fast.coefficients, dense.coefficients), 1e-9);
-  EXPECT_LE(max_abs_diff(fast.reconstruction, dense.reconstruction), 1e-9);
+  expect_factored_matches_dense(sl::dct2_factored(1, n), basis, meas, opts);
 }
 
 TEST(ChsOperator, MatchesDenseBasis2dLinearInterpolation) {
   const std::size_t w = 10, h = 8, n = w * h;
   const auto basis = sl::dct2_basis(w, h);
   sl::Rng rng(101);
-  sl::Vector alpha(n, 0.0);
-  for (std::size_t j : rng.sample_without_replacement(n, 5)) {
-    alpha[j] = rng.uniform(1.0, 2.0);
-  }
-  const auto x = sl::synthesize(basis, alpha);
-  auto meas = sc::measure_exact(x, sc::MeasurementPlan::random(n, 32, rng));
-
+  const auto meas = sparse_measurement(basis, n, 5, 32, rng);
   sc::ChsOptions opts;
   opts.max_support = 10;
   opts.interpolation = sc::Interpolation::kLinear;
   opts.grid_height = h;
-  const auto dense = sc::chs_reconstruct(basis, meas, opts);
-  sl::SubsampledDctOperator op(w, h, {});
-  const auto fast = sc::chs_reconstruct(op, meas, opts);
-
-  EXPECT_EQ(fast.support, dense.support);
-  EXPECT_LE(max_abs_diff(fast.reconstruction, dense.reconstruction), 1e-9);
+  expect_factored_matches_dense(sl::dct2_factored(w, h), basis, meas, opts);
 }
 
 TEST(ChsOperator, MatchesDenseBasis2dNearestInterpolation) {
   const std::size_t w = 12, h = 9, n = w * h;
   const auto basis = sl::dct2_basis(w, h);
   sl::Rng rng(104);
-  sl::Vector alpha(n, 0.0);
-  for (std::size_t j : rng.sample_without_replacement(n / 3, 5)) {
-    alpha[j] = rng.uniform(1.0, 2.0);
-  }
-  const auto x = sl::synthesize(basis, alpha);
-  auto meas = sc::measure_exact(x, sc::MeasurementPlan::random(n, 40, rng));
-
+  const auto meas = sparse_measurement(basis, n / 3, 5, 40, rng);
   sc::ChsOptions opts;
   opts.max_support = 10;
   opts.interpolation = sc::Interpolation::kNearest;
   opts.grid_height = h;
-  const auto dense = sc::chs_reconstruct(basis, meas, opts);
-  sl::SubsampledDctOperator op(w, h, {});
-  const auto fast = sc::chs_reconstruct(op, meas, opts);
-
-  EXPECT_FALSE(dense.support.empty());
-  EXPECT_EQ(fast.support, dense.support);
-  EXPECT_LE(max_abs_diff(fast.reconstruction, dense.reconstruction), 1e-9);
+  expect_factored_matches_dense(sl::dct2_factored(w, h), basis, meas, opts);
 }
 
 TEST(ChsOperator, MatchesDenseBasis1dLinearInterpolation) {
   const std::size_t n = 96;
   const auto basis = sl::dct_basis(n);
   sl::Rng rng(105);
-  sl::Vector alpha(n, 0.0);
-  for (std::size_t j : rng.sample_without_replacement(n / 4, 5)) {
-    alpha[j] = rng.uniform(1.0, 2.0);
-  }
-  const auto x = sl::synthesize(basis, alpha);
-  auto meas = sc::measure_exact(x, sc::MeasurementPlan::random(n, 36, rng));
-
+  const auto meas = sparse_measurement(basis, n / 4, 5, 36, rng);
   sc::ChsOptions opts;
   opts.max_support = 10;
   opts.interpolation = sc::Interpolation::kLinear;
-  const auto dense = sc::chs_reconstruct(basis, meas, opts);
-  sl::SubsampledDctOperator op(n, {});
-  const auto fast = sc::chs_reconstruct(op, meas, opts);
-
-  EXPECT_FALSE(dense.support.empty());
-  EXPECT_EQ(fast.support, dense.support);
-  EXPECT_LE(max_abs_diff(fast.reconstruction, dense.reconstruction), 1e-9);
+  expect_factored_matches_dense(sl::dct2_factored(1, n), basis, meas, opts);
 }
 
 TEST(ChsOperator, ValidatesNonSquareOperator) {
@@ -472,45 +457,38 @@ TEST(ChsOperator, ValidatesNonSquareOperator) {
   const std::size_t n = 32;
   auto plan = sc::MeasurementPlan::random(n, 12, rng);
   auto meas = sc::measure_exact(sl::Rng(103).gaussian_vector(n), plan);
-  // A genuinely subsampled operator is not a square synthesis basis.
-  auto sub = sc::dct_sensing_operator(plan);
-  EXPECT_THROW(sc::chs_reconstruct(*sub, meas, {}), std::invalid_argument);
+  // The sampled rows of a basis are not a square synthesis basis, and a
+  // factored basis must cover the plan's grid.
+  EXPECT_THROW(sc::chs_reconstruct(plan.select_rows(sl::dct_basis(n)), meas),
+               std::invalid_argument);
+  EXPECT_THROW(sc::chs_reconstruct(sl::dct2_factored(4, 4), meas),
+               std::invalid_argument);
+  EXPECT_NO_THROW(sc::chs_reconstruct(sl::dct2_factored(4, 8), meas));
 }
 
-// ------------------------------------------------ NanoCloud operator ----
+// ------------------------------------------------ NanoCloud basis state ----
 
+// A zone's factored basis against the same separable DCT handed in as a
+// dense matrix (a shared basis without factors): the same draws and the
+// same gather up to near-exact atom ties, at 8 w^2 bytes of basis state
+// instead of 8 N^2.
 TEST(NanoCloudFastOperator, MatchesDenseBasisGather) {
   sl::Rng field_rng(110);
   const auto zone = sf::random_plume_field(16, 16, 2, field_rng, 20.0);
 
-  auto run = [&](bool fast, bool separable) {
+  auto run = [&](std::shared_ptr<const sl::Basis> basis) {
     sh::NanoCloudConfig cfg;
     cfg.coverage = 1.0;
-    cfg.separable_2d = separable;
-    cfg.fast_operator = fast;
     sl::Rng rng(111);
-    sh::NanoCloud nc(zone, cfg, rng);
+    sh::NanoCloud nc(zone, cfg, rng, std::move(basis));
     auto res = nc.gather(100, rng);
     return std::pair<double, std::size_t>{res.nrmse, nc.basis_state_bytes()};
   };
 
-  for (bool separable : {true, false}) {
-    const auto [dense_nrmse, dense_bytes] = run(false, separable);
-    const auto [fast_nrmse, fast_bytes] = run(true, separable);
-    // Same rng seed and identical draw sequence: the gathers see the same
-    // nodes and noise, so only near-exact atom ties could separate them.
-    EXPECT_NEAR(fast_nrmse, dense_nrmse, 1e-8) << "separable=" << separable;
-    EXPECT_EQ(dense_bytes, std::size_t{256 * 256 * sizeof(double)});
-    EXPECT_LT(fast_bytes, dense_bytes / 10) << "separable=" << separable;
-  }
-}
-
-TEST(NanoCloudFastOperator, RequiresDctBasis) {
-  sl::Rng field_rng(112);
-  const auto zone = sf::random_plume_field(8, 8, 1, field_rng, 20.0);
-  sh::NanoCloudConfig cfg;
-  cfg.basis = sl::BasisKind::kHaar;
-  cfg.fast_operator = true;
-  sl::Rng rng(113);
-  EXPECT_THROW(sh::NanoCloud(zone, cfg, rng), std::invalid_argument);
+  const auto [factored_nrmse, factored_bytes] = run(nullptr);
+  const auto [dense_nrmse, dense_bytes] =
+      run(std::make_shared<const sl::Basis>(sl::dct2_basis(16, 16)));
+  EXPECT_NEAR(factored_nrmse, dense_nrmse, 1e-8);
+  EXPECT_EQ(factored_bytes, std::size_t{16 * 16 * sizeof(double)});
+  EXPECT_EQ(dense_bytes, std::size_t{256 * 256 * sizeof(double)});
 }

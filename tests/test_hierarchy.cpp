@@ -390,14 +390,19 @@ void expect_localcloud_matches_standalone(const sh::NanoCloudConfig& cfg,
       const auto pb = solo[id].node(i).position();
       EXPECT_EQ(0, std::memcmp(&pa, &pb, sizeof(pa)));
     }
-    if (shared.basis() != nullptr) {
-      ASSERT_NE(solo[id].basis(), nullptr);
-      const sl::Matrix& ba = *shared.basis();
-      const sl::Matrix& bb = *solo[id].basis();
-      ASSERT_EQ(ba.rows(), bb.rows());
-      EXPECT_EQ(0, std::memcmp(ba.data().data(), bb.data().data(),
-                               ba.rows() * ba.cols() * sizeof(double)));
-    }
+    const sl::Basis* ba = shared.basis();
+    const sl::Basis* bb = solo[id].basis();
+    ASSERT_NE(ba, nullptr);
+    ASSERT_NE(bb, nullptr);
+    ASSERT_EQ(ba->factored(), bb->factored());
+    const auto same_bits = [](const sl::Matrix& x, const sl::Matrix& y) {
+      return x.rows() == y.rows() && x.cols() == y.cols() &&
+             std::memcmp(x.data().data(), y.data().data(),
+                         x.rows() * x.cols() * sizeof(double)) == 0;
+    };
+    EXPECT_TRUE(same_bits(ba->dense(), bb->dense()));
+    EXPECT_TRUE(same_bits(ba->outer(), bb->outer()));
+    EXPECT_TRUE(same_bits(ba->inner(), bb->inner()));
   }
 
   // Round 1 zone by zone, round 2 through the round engine.
@@ -505,6 +510,13 @@ TEST(NanoCloud, RejectsASharedBasisOfTheWrongSize) {
   sl::Rng rng(1);
   const auto other = sh::shared_zone_basis(smooth_zone(4, 4, 9), cfg);
   EXPECT_THROW(sh::NanoCloud(zone, cfg, rng, other), std::invalid_argument);
+  // Right size, transposed shape: an 8x32 zone handed a 32x8 basis.
+  const auto tall = smooth_zone(8, 32, 9);
+  const auto wide = sh::shared_zone_basis(smooth_zone(32, 8, 9), cfg);
+  ASSERT_EQ(wide->size(), tall.size());
+  EXPECT_THROW(sh::NanoCloud(tall, cfg, rng, wide), std::invalid_argument);
+  EXPECT_NO_THROW(sh::NanoCloud(tall, cfg, rng,
+                                sh::shared_zone_basis(tall, cfg)));
 }
 
 // --------------------------------------------------- E2E integration ----

@@ -4,11 +4,11 @@
 // column is whitened as the cache appends it.  A prefix-updated CGS2 QR
 // rounds differently from a fresh Householder QR, so the contract is a
 // tolerance: coefficients within 1e-10 relative of solve_gls_diag /
-// solve_ols over seeded supports, with columns read the way the dense
-// and the operator CHS views read them.  The fallbacks must still
-// engage: a dependent column leaves the cache for the registry solver
-// and then ridge, and a MAD-screened solve weights by the screened
-// noise model.
+// solve_ols over seeded supports, with columns read from a dense matrix
+// and from a factored basis, the two ways CHS's basis view reads them.
+// The fallbacks must still engage: a dependent column leaves the cache
+// for the registry solver and then ridge, and a MAD-screened solve
+// weights by the screened noise model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +27,6 @@
 #include "cs/measurement.h"
 #include "cs/solver.h"
 #include "linalg/basis.h"
-#include "linalg/operator.h"
 #include "linalg/random.h"
 
 namespace sc = sensedroid::cs;
@@ -100,27 +99,26 @@ void grow(std::vector<std::size_t>& support,
 
 TEST(CachedRefit, MatchesFreshRefitOverSeededSupports) {
   constexpr std::size_t kDraws = 1200;
-  std::size_t compared = 0, operator_compared = 0, weighted_compared = 0;
+  std::size_t compared = 0, factored_compared = 0, weighted_compared = 0;
   double worst = 0.0;
   for (std::size_t draw = 0; draw < kDraws; ++draw) {
     SCOPED_TRACE("draw " + std::to_string(draw));
     sl::Rng rng(0x5eed0000 + draw);
-    const bool operator_mode = draw % 2 == 1;
+    const bool factored_mode = draw % 2 == 1;
     const std::size_t width = 3 + rng.uniform_index(8);   // 3..10
     const std::size_t height = 3 + rng.uniform_index(6);  // 3..8
     const std::size_t n = width * height;
     const bool two_d = rng.bernoulli(0.5);
 
-    // Dense twin of the dictionary; in operator mode the cache reads the
-    // operator's closed-form columns instead, which match it bit for bit.
+    // Dense twin of the dictionary; in factored mode the cache reads the
+    // factored basis's columns instead, which match it bit for bit (the
+    // 1-D DCT is the factored basis of a one-column grid).
     Matrix basis;
-    std::unique_ptr<sl::SubsampledDctOperator> op;
-    if (operator_mode) {
+    std::optional<sl::Basis> factored;
+    if (factored_mode) {
       basis = two_d ? sl::dct2_basis(width, height) : sl::dct_basis(n);
-      op = two_d ? std::make_unique<sl::SubsampledDctOperator>(
-                       width, height, std::vector<std::size_t>{})
-                 : std::make_unique<sl::SubsampledDctOperator>(
-                       n, std::vector<std::size_t>{});
+      factored = two_d ? sl::dct2_factored(width, height)
+                       : sl::dct2_factored(1, n);
     } else {
       switch (rng.uniform_index(3)) {
         case 0:
@@ -144,13 +142,10 @@ TEST(CachedRefit, MatchesFreshRefitOverSeededSupports) {
     const Vector sigma = draw_sigma(noise, m, rng);
 
     sl::SupportQrCache::ColumnFn column;
-    if (operator_mode) {
-      column = [&op, &locations, buf = Vector(n)](
-                   std::size_t j, std::span<double> out) mutable {
-        op->column_into(j, buf);
-        for (std::size_t i = 0; i < locations.size(); ++i) {
-          out[i] = buf[locations[i]];
-        }
+    if (factored_mode) {
+      column = [sampled = factored->rows(locations)](std::size_t j,
+                                                     std::span<double> out) {
+        sampled.column_into(j, out);
       };
     } else {
       column = [&phi_rows](std::size_t j, std::span<double> out) {
@@ -188,14 +183,14 @@ TEST(CachedRefit, MatchesFreshRefitOverSeededSupports) {
         EXPECT_LE(err, kRelTol);
         worst = std::max(worst, err);
         ++compared;
-        if (operator_mode) ++operator_compared;
+        if (factored_mode) ++factored_compared;
         if (noise != Noise::kOls && noise != Noise::kAllZero) {
           ++weighted_compared;
         }
       }
     }
   }
-  EXPECT_GE(operator_compared, 1200u);
+  EXPECT_GE(factored_compared, 1200u);
   EXPECT_GE(weighted_compared, 1200u);
   EXPECT_GE(compared, 3000u);
   char worst_text[32];
@@ -347,7 +342,7 @@ TEST(CachedRefit, ChsMatchesFreshRefitsInDenseAndOperatorMode) {
     opts.grid_height = height;
     if (spikes) opts.mad_threshold = 5.0;
     const Matrix dense = sl::dct2_basis(width, height);
-    const sl::SubsampledDctOperator op(width, height, {});
+    const sl::Basis factored = sl::dct2_factored(width, height);
     for (const std::string refit : {"gls", "ols"}) {
       SCOPED_TRACE(refit);
       sc::ChsOptions fresh = opts;
@@ -355,8 +350,8 @@ TEST(CachedRefit, ChsMatchesFreshRefitsInDenseAndOperatorMode) {
       fresh.refit_solver = refit + "_fresh";
       const sc::ChsResult dense_res = sc::chs_reconstruct(dense, meas, opts);
       expect_refits_agree(dense_res, sc::chs_reconstruct(dense, meas, fresh));
-      expect_refits_agree(sc::chs_reconstruct(op, meas, opts),
-                          sc::chs_reconstruct(op, meas, fresh));
+      expect_refits_agree(sc::chs_reconstruct(factored, meas, opts),
+                          sc::chs_reconstruct(factored, meas, fresh));
       if (dense_res.outliers_rejected > 0) ++screened;
     }
   }

@@ -1,6 +1,9 @@
-// Separable analyze and tie-exact batch selection, each against the
-// code it replaced.  A factored linalg::Basis runs Phi^T u as two factor
-// products; the dense transpose_times sweep is its oracle, to rounding.
+// The matrix-free factored basis and tie-exact batch selection, each
+// against the code it replaced.  A factored linalg::Basis holds only its
+// 1-D factors: it runs Phi^T u as two factor products, with the dense
+// transpose_times sweep over dct2_basis as its oracle, to rounding, and
+// forms every gathered entry, sampled column and synthesis term from the
+// factors, with dct2_basis's entries as their oracle, bit for bit.
 // cs::select_batch picks the batch without a full sort; the full sort,
 // kept in tests/support, is its oracle, exactly, ties included.  A basis
 // without factors must still take the generic sweep bit for bit, and CHS
@@ -90,7 +93,7 @@ TEST(SeparableAnalyze, FactoredMatchesDenseSweep) {
     ASSERT_TRUE(basis.factored());
     const std::size_t n = w * h;
     const Vector u = draw_u(n, rng);
-    const Vector want = basis.dense().transpose_times(u);
+    const Vector want = sl::dct2_basis(w, h).transpose_times(u);
     // Dirty buffers: the factored path must overwrite, not accumulate.
     Vector got(n, std::numeric_limits<double>::quiet_NaN());
     Vector scratch(n, std::numeric_limits<double>::quiet_NaN());
@@ -105,15 +108,90 @@ TEST(SeparableAnalyze, FactoredMatchesDenseSweep) {
   EXPECT_GT(column, 0u);
 }
 
+// The full gather of a factored basis is dct2_basis, bit for bit, from
+// a store of 8 (w^2 + h^2) bytes (8 w^2 on a square grid).
 TEST(SeparableAnalyze, DenseMatchesDct2BasisBitForBit) {
   for (const auto& [w, h] : std::vector<std::pair<std::size_t, std::size_t>>{
            {1, 1}, {1, 7}, {7, 1}, {8, 8}, {16, 16}, {12, 10}, {5, 9}}) {
     const sl::Basis basis = sl::dct2_factored(w, h);
     const Matrix dense = sl::dct2_basis(w, h);
-    EXPECT_TRUE(same_bits(basis.dense().data(), dense.data())) << w << "x" << h;
+    std::vector<std::size_t> all(w * h);
+    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+    EXPECT_TRUE(same_bits(basis.rows(all).gather(all).data(), dense.data()))
+        << w << "x" << h;
+    EXPECT_EQ(basis.size(), w * h);
+    EXPECT_TRUE(basis.dense().empty());
     EXPECT_EQ(basis.outer(), sl::dct_basis(w));
     EXPECT_EQ(basis.inner(), sl::dct_basis(h));
+    EXPECT_EQ(basis.state_bytes(),
+              (w * w + (w == h ? 0 : h * h)) * sizeof(double));
   }
+  EXPECT_EQ(sl::dct2_factored(16, 16).state_bytes(), 2048u);
+}
+
+// 1200 seeded grids, square and not, power-of-two sizes and not: every
+// matrix-free read of the factored basis holds dct2_basis's bits.  The
+// gather and the sampled columns are its entries at random rows and
+// columns; the synthesis oracle accumulates the dense columns in support
+// order, as CHS's synthesis did when it read the dense matrix.
+TEST(SeparableAnalyze, MatrixFreeReadsMatchDct2BasisBitForBit) {
+  constexpr int kDraws = 1200;
+  sl::Rng rng(20261019);
+  std::size_t square = 0, non_square = 0, odd = 0;
+  for (int d = 0; d < kDraws; ++d) {
+    std::size_t w = 0, h = 0;
+    switch (rng.uniform_index(4)) {
+      case 0: w = h = 1 + rng.uniform_index(16); break;
+      case 1: w = 1 + rng.uniform_index(40); h = 1; break;
+      case 2: w = 1; h = 1 + rng.uniform_index(40); break;
+      default:
+        w = 1 + rng.uniform_index(16);
+        h = 1 + rng.uniform_index(16);
+        break;
+    }
+    square += w == h;
+    non_square += w != h;
+    odd += (w & (w - 1)) != 0 || (h & (h - 1)) != 0;
+    SCOPED_TRACE("draw " + std::to_string(d) + " " + std::to_string(w) +
+                 "x" + std::to_string(h));
+    const sl::Basis basis = sl::dct2_factored(w, h);
+    const Matrix dense = sl::dct2_basis(w, h);
+    const std::size_t n = w * h;
+    const auto rows =
+        rng.sample_without_replacement(n, 1 + rng.uniform_index(n));
+    const auto cols = rng.sample_without_replacement(
+        n, 1 + rng.uniform_index(std::min<std::size_t>(n, 24)));
+
+    const sl::Basis::Rows sampled = basis.rows(rows);
+    const Matrix got = sampled.gather(cols);
+    Matrix want(rows.size(), cols.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      for (std::size_t t = 0; t < cols.size(); ++t) {
+        want(i, t) = dense(rows[i], cols[t]);
+      }
+    }
+    ASSERT_TRUE(same_bits(got.data(), want.data()));
+
+    Vector col(rows.size(), std::numeric_limits<double>::quiet_NaN());
+    for (std::size_t t = 0; t < cols.size(); ++t) {
+      sampled.column_into(cols[t], col);
+      ASSERT_TRUE(same_bits(col, want.col(t)));
+    }
+
+    const Vector coef = rng.gaussian_vector(cols.size());
+    Vector synth(n, std::numeric_limits<double>::quiet_NaN());
+    basis.synthesize_into(cols, coef, synth);
+    Vector oracle(n, 0.0);
+    for (std::size_t t = 0; t < cols.size(); ++t) {
+      for (std::size_t i = 0; i < n; ++i) {
+        oracle[i] += dense(i, cols[t]) * coef[t];
+      }
+    }
+    ASSERT_TRUE(same_bits(synth, oracle));
+  }
+  EXPECT_GT(square, 0u);
+  EXPECT_GT(non_square, 0u);
+  EXPECT_GT(odd, 0u);
 }
 
 TEST(SeparableAnalyze, ValidatesFactorsAndSizes) {
@@ -122,11 +200,25 @@ TEST(SeparableAnalyze, ValidatesFactorsAndSizes) {
   EXPECT_THROW(sl::Basis::separable(sl::dct_basis(3), Matrix(2, 3)),
                std::invalid_argument);
   EXPECT_THROW(sl::dct2_factored(0, 4), std::invalid_argument);
+  EXPECT_THROW(sl::Basis(Matrix(2, 3)), std::invalid_argument);
+  const Matrix wide(3, 4);
+  EXPECT_THROW(sl::Basis::borrow(wide), std::invalid_argument);
   const sl::Basis basis = sl::dct2_factored(4, 3);
   Vector u(12, 1.0), out(12), scratch(12), small(11);
   EXPECT_THROW(basis.analyze_into(small, out, scratch), std::invalid_argument);
   EXPECT_THROW(basis.analyze_into(u, small, scratch), std::invalid_argument);
   EXPECT_THROW(basis.analyze_into(u, out, small), std::invalid_argument);
+  const std::vector<std::size_t> rows = {0, 5, 11}, bad = {0, 12};
+  const sl::Basis::Rows sampled = basis.rows(rows);
+  Vector col(3), short_col(2);
+  EXPECT_THROW(sampled.column_into(2, short_col), std::invalid_argument);
+  EXPECT_THROW(sampled.column_into(12, col), std::out_of_range);
+  EXPECT_THROW(basis.rows(bad), std::out_of_range);
+  EXPECT_THROW(sampled.gather(bad), std::out_of_range);
+  const Vector coef(3, 1.0);
+  EXPECT_THROW(basis.synthesize_into(rows, coef, small), std::invalid_argument);
+  EXPECT_THROW(basis.synthesize_into(rows, Vector(2), out),
+               std::invalid_argument);
 }
 
 // Haar, Gaussian, PCA, the 1-D DCT and a modified separable DCT carry no
@@ -261,8 +353,8 @@ TEST(SelectBatch, TakeZeroAndTakeAllLeaveCandidatesAlone) {
 // Over random plans on the campaign's zone shapes, a solve against the
 // factored basis and one against its plain dense matrix select the same
 // atoms in the same number of iterations.  Same atoms means the same
-// refit and synthesis on the same dense matrix, so the reconstructions
-// agree far inside the 1e-12 bound.
+// refit and synthesis entries, so the reconstructions agree far inside
+// the 1e-12 bound.
 TEST(SeparableChs, FactorsSelectTheSameAtomsAsTheDenseMatrix) {
   struct Shape {
     std::size_t w, h, m;
@@ -270,7 +362,7 @@ TEST(SeparableChs, FactorsSelectTheSameAtomsAsTheDenseMatrix) {
   std::size_t draws = 0;
   for (const Shape& s : {Shape{8, 8, 20}, Shape{16, 16, 64}, Shape{12, 10, 30}}) {
     const sl::Basis factored = sl::dct2_factored(s.w, s.h);
-    const Matrix& dense = factored.dense();
+    const Matrix dense = sl::dct2_basis(s.w, s.h);
     const std::size_t n = s.w * s.h;
     sl::Rng rng(1000 + n);
     for (int d = 0; d < 40; ++d, ++draws) {
