@@ -76,54 +76,6 @@ Vector least_squares_or_ridge(const Matrix& a_sub,
 // one-shot, where seeding is pure overhead.  The cache earns its keep
 // in cs::chs, whose supports grow by sorted insertion.
 
-// Dictionary views for the IHT core: DenseDict forwards to the exact
-// Matrix kernels (bit-identical to the historical direct-Matrix solver),
-// OpDict routes through LinearOperator so the correlation sweep runs a
-// fast transform.  Both expose the four primitives IHT consumes.
-struct DenseDict {
-  const Matrix& a;
-  std::size_t rows() const { return a.rows(); }
-  std::size_t cols() const { return a.cols(); }
-  Vector times_sparse(const Vector& x) const { return sparse_times(a, x); }
-  Vector transpose_times(std::span<const double> r) const {
-    return a.transpose_times(r);
-  }
-  Matrix select_cols(const std::vector<std::size_t>& idx) const {
-    return a.select_cols(idx);
-  }
-};
-
-struct OpDict {
-  const linalg::LinearOperator& a;
-  std::size_t rows() const { return a.rows(); }
-  std::size_t cols() const { return a.cols(); }
-  Vector times_sparse(const Vector& x) const {
-    // Same column-order accumulation as the dense sparse_times; columns
-    // come from column_into, which evaluates the exact basis expressions.
-    Vector out(a.rows(), 0.0);
-    Vector col(a.rows());
-    for (std::size_t j = 0; j < x.size(); ++j) {
-      const double c = x[j];
-      if (c == 0.0) continue;
-      a.column_into(j, col);
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] += col[i] * c;
-    }
-    return out;
-  }
-  Vector transpose_times(std::span<const double> r) const {
-    return a.apply_transpose(r);
-  }
-  Matrix select_cols(const std::vector<std::size_t>& idx) const {
-    Matrix sub(a.rows(), idx.size());
-    Vector col(a.rows());
-    for (std::size_t j = 0; j < idx.size(); ++j) {
-      a.column_into(idx[j], col);
-      for (std::size_t i = 0; i < col.size(); ++i) sub(i, j) = col[i];
-    }
-    return sub;
-  }
-};
-
 // One signal's CoSaMP pursuit, split so a batch driver can interleave
 // many signals: needs_sweep() runs the pre-sweep checks (cancellation,
 // tolerance, iteration budget) and, when it returns true, the caller
@@ -239,9 +191,8 @@ struct CosampRun {
 // One signal's IHT pursuit, same needs_sweep()/step() contract as
 // CosampRun; needs_sweep() additionally refreshes the residual `r` from
 // the current iterate (IHT's gradient is taken at the thresholded x).
-template <typename Dict>
 struct IhtRun {
-  Dict dict;
+  const Matrix& a;
   std::span<const double> y;
   const IhtOptions& opts;
   std::size_t k = 0;
@@ -252,11 +203,11 @@ struct IhtRun {
   std::size_t it = 0;
   bool done = false;
 
-  IhtRun(Dict dict_in, std::span<const double> y_in,
+  IhtRun(const Matrix& a_in, std::span<const double> y_in,
          const IhtOptions& opts_in)
-      : dict(dict_in), y(y_in), opts(opts_in) {
-    const std::size_t m = dict.rows();
-    const std::size_t n = dict.cols();
+      : a(a_in), y(y_in), opts(opts_in) {
+    const std::size_t m = a.rows();
+    const std::size_t n = a.cols();
     if (m == 0 || n == 0 || y.size() != m) {
       throw std::invalid_argument("iht_solve: shape mismatch");
     }
@@ -277,7 +228,7 @@ struct IhtRun {
       done = true;
       return false;
     }
-    const Vector ax = dict.times_sparse(x);  // x is k-sparse
+    const Vector ax = sparse_times(a, x);  // x is k-sparse
     r = subtract(y, ax);
     if (norm2(r) <= opts.residual_tol * y_norm) {
       done = true;
@@ -288,7 +239,7 @@ struct IhtRun {
   }
 
   void step(std::span<const double> grad) {
-    const std::size_t n = dict.cols();
+    const std::size_t n = a.cols();
     double mu = opts.step;
     if (mu <= 0.0) {
       // Normalized IHT (Blumensath & Davies): the exact line-search step
@@ -305,7 +256,7 @@ struct IhtRun {
       Vector g_s(n, 0.0);
       for (std::size_t j : working) g_s[j] = grad[j];
       const double num = linalg::dot(g_s, g_s);
-      const Vector ag = dict.times_sparse(g_s);  // g_s lives on the working set
+      const Vector ag = sparse_times(a, g_s);  // g_s lives on the working set
       const double den = linalg::dot(ag, ag);
       mu = den > 1e-300 ? num / den : 1.0;
     }
@@ -316,7 +267,7 @@ struct IhtRun {
   }
 
   SparseSolution finish() {
-    const std::size_t n = dict.cols();
+    const std::size_t n = a.cols();
     sol.coefficients = x;
     for (std::size_t j = 0; j < n; ++j) {
       if (x[j] != 0.0) sol.support.push_back(j);
@@ -327,13 +278,13 @@ struct IhtRun {
       // coefficients) removes the bias.  One-shot, so it takes the dense
       // path directly; ridge fallback on dependent columns.
       const Vector c =
-          least_squares_or_ridge(dict.select_cols(sol.support), y);
+          least_squares_or_ridge(a.select_cols(sol.support), y);
       for (std::size_t s = 0; s < sol.support.size(); ++s) {
         sol.coefficients[sol.support[s]] = c[s];
       }
     }
     sol.residual_norm =
-        norm2(subtract(y, dict.times_sparse(sol.coefficients)));
+        norm2(subtract(y, sparse_times(a, sol.coefficients)));
     return std::move(sol);
   }
 };
@@ -415,19 +366,9 @@ std::vector<SparseSolution> cosamp_solve_batch(const Matrix& a,
 
 SparseSolution iht_solve(const Matrix& a, std::span<const double> y,
                          const IhtOptions& opts) {
-  IhtRun<DenseDict> run(DenseDict{a}, y, opts);
+  IhtRun run(a, y, opts);
   while (run.needs_sweep()) {
     const Vector grad = a.transpose_times(run.r);
-    run.step(grad);
-  }
-  return run.finish();
-}
-
-SparseSolution iht_solve(const linalg::LinearOperator& a,
-                         std::span<const double> y, const IhtOptions& opts) {
-  IhtRun<OpDict> run(OpDict{a}, y, opts);
-  while (run.needs_sweep()) {
-    const Vector grad = a.apply_transpose(run.r);
     run.step(grad);
   }
   return run.finish();
@@ -436,9 +377,9 @@ SparseSolution iht_solve(const linalg::LinearOperator& a,
 std::vector<SparseSolution> iht_solve_batch(const Matrix& a,
                                             std::span<const Vector> ys,
                                             const IhtOptions& opts) {
-  std::vector<IhtRun<DenseDict>> runs;
+  std::vector<IhtRun> runs;
   runs.reserve(ys.size());
-  for (const Vector& y : ys) runs.emplace_back(DenseDict{a}, y, opts);
+  for (const Vector& y : ys) runs.emplace_back(a, y, opts);
   return greedy_batch(a, runs);
 }
 

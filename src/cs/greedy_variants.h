@@ -62,13 +62,6 @@ struct IhtOptions {
 SparseSolution iht_solve(const Matrix& a, std::span<const double> y,
                          const IhtOptions& opts);
 
-/// Operator-core IHT: the gradient sweep runs through
-/// LinearOperator::apply_transpose (a fast transform for structured
-/// dictionaries), A x and the debias refit assemble only the O(k)
-/// touched columns through column_into.
-SparseSolution iht_solve(const linalg::LinearOperator& a,
-                         std::span<const double> y, const IhtOptions& opts);
-
 /// Batch variants: ys.size() signals against one dictionary, run in
 /// lockstep so each round's correlation sweeps become a single blocked
 /// A^T R product (Matrix::transpose_times_block).  Everything downstream

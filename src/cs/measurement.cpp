@@ -102,13 +102,6 @@ Measurement measure(std::span<const double> x, MeasurementPlan plan,
   return Measurement{std::move(plan), std::move(values), std::move(noise)};
 }
 
-std::unique_ptr<linalg::LinearOperator> dct_sensing_operator(
-    const MeasurementPlan& plan) {
-  std::span<const std::size_t> idx = plan.indices();
-  return std::make_unique<linalg::SubsampledDctOperator>(
-      plan.signal_size(), std::vector<std::size_t>(idx.begin(), idx.end()));
-}
-
 Measurement measure_exact(std::span<const double> x, MeasurementPlan plan) {
   Vector values = plan.sample_signal(x);
   SensorNoise none = SensorNoise::homogeneous(values.size(), 0.0);

@@ -10,12 +10,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "linalg/matrix.h"
-#include "linalg/operator.h"
 #include "linalg/random.h"
 
 namespace sensedroid::cs {
@@ -99,14 +97,5 @@ Measurement measure(std::span<const double> x, MeasurementPlan plan,
 
 /// Noise-free measurement.
 Measurement measure_exact(std::span<const double> x, MeasurementPlan plan);
-
-/// Structured form of eq. 7 for the DCT basis: the operator computing
-/// Phi~ = dct_basis(n)(L, :) through fast transforms, never forming the
-/// n x n basis.  Per-zone state is O(M + N) instead of the 8 M N bytes
-/// of the materialized select_rows(dct_basis(n)) matrix, and correlation
-/// sweeps run in O(N log N).  Column entries match the dense basis
-/// bit-for-bit.
-std::unique_ptr<linalg::LinearOperator> dct_sensing_operator(
-    const MeasurementPlan& plan);
 
 }  // namespace sensedroid::cs

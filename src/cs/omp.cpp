@@ -427,11 +427,6 @@ std::size_t subtract_rows_and_argmax(const Matrix& gram,
 
 SparseSolution omp_solve(const Matrix& a, std::span<const double> y,
                          const OmpOptions& opts) {
-  return omp_solve(linalg::DenseOperator(a), y, opts);
-}
-
-SparseSolution omp_solve(const linalg::LinearOperator& a,
-                         std::span<const double> y, const OmpOptions& opts) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   if (m == 0 || n == 0) {
@@ -463,7 +458,7 @@ SparseSolution omp_solve(const linalg::LinearOperator& a,
   // kept — no sqrt pass.  sel[] doubles as the argmax eligibility mask:
   // an exact 0.0 for zero-norm (and later picked) columns scales any
   // finite correlation down to an exact 0.
-  a.apply_transpose_sqnorms_into(y, corr, sel);
+  a.transpose_times_sqnorms_into(y, corr, sel);
   bool have_corr = true;
   for (std::size_t j = 0; j < n; ++j) {
     sel[j] = sel[j] == 0.0 ? 0.0 : 1.0 / sel[j];
@@ -492,14 +487,14 @@ SparseSolution omp_solve(const linalg::LinearOperator& a,
     if (res <= opts.residual_tol * std::max(y_norm, 1e-300)) break;
     // Greedy step: column with the largest normalized correlation.  The
     // first iteration's correlations were fused with the norms sweep.
-    if (!have_corr) a.apply_transpose_into(residual, corr);
+    if (!have_corr) a.transpose_times_into(residual, corr);
     have_corr = false;
     double best_val = 0.0;
     const std::size_t best =
         argmax_scaled(corr.data(), sel.data(), val.data(), n, &best_val);
     if (best == n) break;  // nothing left correlates
 
-    a.column_into(best, col_buf);
+    a.col_into(best, col_buf);
     if (!qr.append_column(col_buf)) {
       // Numerically dependent on the support already picked: it cannot
       // reduce the residual, and no remaining candidate beat it, so the

@@ -9,7 +9,6 @@
 
 #include "cs/cancel.h"
 #include "linalg/matrix.h"
-#include "linalg/operator.h"
 
 namespace sensedroid::cs {
 
@@ -45,15 +44,6 @@ struct SparseSolution {
 /// A is M x N with M <= N typically; y has size M.
 /// Throws std::invalid_argument on size mismatch or empty inputs.
 SparseSolution omp_solve(const Matrix& a, std::span<const double> y,
-                         const OmpOptions& opts = {});
-
-/// Operator-core OMP: the same greedy pursuit against any structured
-/// dictionary (correlation sweeps through apply_transpose, atom gathers
-/// through column_into).  The Matrix overload above routes here through
-/// a DenseOperator whose methods are the exact dense kernels, so the
-/// dense path is bit-identical to the historical direct-Matrix solver.
-SparseSolution omp_solve(const linalg::LinearOperator& a,
-                         std::span<const double> y,
                          const OmpOptions& opts = {});
 
 /// Batch OMP over `ys.size()` signals sharing one dictionary.  For

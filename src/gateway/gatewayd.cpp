@@ -11,16 +11,25 @@
 //            [--max-conns N] [--cache N] [--idle-timeout SECONDS]
 //            [--telemetry-port PORT] [--quiet]
 //
+// Every numeric flag must be a whole number in range: ports 0..65535,
+// counts >= 1, the idle timeout finite and in (0, 1e9] seconds.  A bad
+// value prints usage and exits 2 before any listener binds.
 // Runs until SIGINT/SIGTERM, then drains the ingest queue and exits 0.
 // Prints the bound ports on startup (machine-parseable `key=value`
 // lines) so scripts can drive an ephemeral-port instance.
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 
 #include "gateway/gateway.h"
@@ -45,6 +54,24 @@ void on_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
   std::exit(2);
 }
 
+/// All of `text` as a T in [lo, hi]; anything else — an empty string,
+/// a sign the type cannot hold, trailing bytes, NaN, or a value out of
+/// range — names the flag and exits through usage_and_exit.
+template <typename T>
+T parse_or_exit(const char* argv0, std::string_view flag,
+                std::string_view text, T lo, T hi) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || !(v >= lo && v <= hi)) {
+    std::fprintf(stderr, "gatewayd: bad value for %.*s: '%.*s'\n",
+                 static_cast<int>(flag.size()), flag.data(),
+                 static_cast<int>(text.size()), text.data());
+    usage_and_exit(argv0);
+  }
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -62,20 +89,31 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage_and_exit(argv[0]);
       return argv[++i];
     };
+    const auto port = [&] {
+      return static_cast<std::uint16_t>(
+          parse_or_exit<unsigned>(argv[0], arg, next(), 0, 65535));
+    };
+    const auto count = [&] {
+      return parse_or_exit<std::size_t>(
+          argv[0], arg, next(), 1, std::numeric_limits<std::size_t>::max());
+    };
     if (arg == "--listen") {
-      cfg.tcp_port = static_cast<std::uint16_t>(std::atoi(next()));
+      cfg.tcp_port = port();
     } else if (arg == "--uds") {
       cfg.uds_path = next();
     } else if (arg == "--queue-depth") {
-      cfg.queue_depth = static_cast<std::size_t>(std::atol(next()));
+      cfg.queue_depth = count();
     } else if (arg == "--max-conns") {
-      cfg.max_connections = static_cast<std::size_t>(std::atol(next()));
+      cfg.max_connections = count();
     } else if (arg == "--cache") {
-      cfg.cache_capacity = static_cast<std::size_t>(std::atol(next()));
+      cfg.cache_capacity = count();
     } else if (arg == "--idle-timeout") {
-      cfg.idle_timeout_s = std::atof(next());
+      // The reactor holds the timeout as int64 nanoseconds.
+      cfg.idle_timeout_s = parse_or_exit<double>(
+          argv[0], arg, next(), std::numeric_limits<double>::denorm_min(),
+          1e9);
     } else if (arg == "--telemetry-port") {
-      telemetry_port = static_cast<std::uint16_t>(std::atoi(next()));
+      telemetry_port = port();
     } else if (arg == "--quiet") {
       quiet = true;
     } else {
@@ -90,7 +128,17 @@ int main(int argc, char** argv) {
   // publishers get: DataStore + continuous queries + pub/sub fan-out.
   mw::Broker broker(/*id=*/0, {0.0, 0.0});
 
-  gw::Gateway gateway(cfg, gw::make_broker_sink(broker));
+  // The Gateway's own config invariants are usage errors too: exit 2
+  // before anything binds.
+  const auto make_gateway = [&]() -> gw::Gateway {
+    try {
+      return gw::Gateway(cfg, gw::make_broker_sink(broker));
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "gatewayd: %s\n", e.what());
+      std::exit(2);
+    }
+  };
+  gw::Gateway gateway = make_gateway();
   if (!gateway.start()) {
     std::fprintf(stderr, "gatewayd: failed to bind listeners\n");
     return 1;

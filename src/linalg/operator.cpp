@@ -8,116 +8,6 @@
 namespace sensedroid::linalg {
 
 // ---------------------------------------------------------------------------
-// LinearOperator defaults
-// ---------------------------------------------------------------------------
-
-void LinearOperator::column_into(std::size_t c, std::span<double> out) const {
-  if (c >= cols()) throw std::out_of_range("LinearOperator::column_into");
-  Vector e(cols(), 0.0);
-  e[c] = 1.0;
-  apply_into(e, out);
-}
-
-void LinearOperator::column_sqnorms_into(std::span<double> out) const {
-  if (out.size() != cols()) {
-    throw std::invalid_argument("LinearOperator::column_sqnorms_into: size");
-  }
-  Vector col(rows());
-  for (std::size_t c = 0; c < cols(); ++c) {
-    column_into(c, col);
-    double acc = 0.0;
-    for (double v : col) acc += v * v;
-    out[c] = acc;
-  }
-}
-
-void LinearOperator::apply_transpose_sqnorms_into(
-    std::span<const double> y, std::span<double> out,
-    std::span<double> sqnorms) const {
-  apply_transpose_into(y, out);
-  column_sqnorms_into(sqnorms);
-}
-
-void LinearOperator::apply_transpose_block_into(std::span<const double> ys,
-                                                std::size_t count,
-                                                std::span<double> out) const {
-  if (ys.size() != count * rows() || out.size() != count * cols()) {
-    throw std::invalid_argument(
-        "LinearOperator::apply_transpose_block_into: size");
-  }
-  for (std::size_t b = 0; b < count; ++b) {
-    apply_transpose_into(ys.subspan(b * rows(), rows()),
-                         out.subspan(b * cols(), cols()));
-  }
-}
-
-Vector LinearOperator::apply(std::span<const double> x) const {
-  Vector out(rows(), 0.0);
-  apply_into(x, out);
-  return out;
-}
-
-Vector LinearOperator::apply_transpose(std::span<const double> y) const {
-  Vector out(cols(), 0.0);
-  apply_transpose_into(y, out);
-  return out;
-}
-
-Matrix LinearOperator::to_dense() const {
-  Matrix a(rows(), cols());
-  Vector col(rows());
-  for (std::size_t c = 0; c < cols(); ++c) {
-    column_into(c, col);
-    for (std::size_t r = 0; r < rows(); ++r) a(r, c) = col[r];
-  }
-  return a;
-}
-
-// ---------------------------------------------------------------------------
-// DenseOperator: forwards to the exact Matrix kernels so results are
-// bit-identical to the historical direct-Matrix solver paths.
-// ---------------------------------------------------------------------------
-
-void DenseOperator::apply_into(std::span<const double> x,
-                               std::span<double> out) const {
-  if (x.size() != cols() || out.size() != rows()) {
-    throw std::invalid_argument("DenseOperator::apply_into: size");
-  }
-  // Same row-dot accumulation order as Matrix::operator*(span).
-  for (std::size_t r = 0; r < rows(); ++r) {
-    const auto row = a_->row(r);
-    double acc = 0.0;
-    for (std::size_t c = 0; c < row.size(); ++c) acc += row[c] * x[c];
-    out[r] = acc;
-  }
-}
-
-void DenseOperator::apply_transpose_into(std::span<const double> y,
-                                         std::span<double> out) const {
-  a_->transpose_times_into(y, out);
-}
-
-void DenseOperator::column_into(std::size_t c, std::span<double> out) const {
-  a_->col_into(c, out);
-}
-
-void DenseOperator::column_sqnorms_into(std::span<double> out) const {
-  a_->col_sqnorms_into(out);
-}
-
-void DenseOperator::apply_transpose_sqnorms_into(
-    std::span<const double> y, std::span<double> out,
-    std::span<double> sqnorms) const {
-  a_->transpose_times_sqnorms_into(y, out, sqnorms);
-}
-
-void DenseOperator::apply_transpose_block_into(std::span<const double> ys,
-                                               std::size_t count,
-                                               std::span<double> out) const {
-  a_->transpose_times_block(ys, count, out);
-}
-
-// ---------------------------------------------------------------------------
 // SubsampledDctOperator
 // ---------------------------------------------------------------------------
 
@@ -257,13 +147,11 @@ SubsampledDctOperator::SubsampledDctOperator(std::size_t n,
   plan_.build(n_);
   scale0_ = std::sqrt(1.0 / static_cast<double>(n_));
   scale_ = std::sqrt(2.0 / static_cast<double>(n_));
-  precompute_sqnorms();
 }
 
 std::size_t SubsampledDctOperator::state_bytes() const noexcept {
   std::size_t bytes = sizeof(*this);
   bytes += row_idx_.size() * sizeof(std::size_t);
-  bytes += col_sqnorms_.size() * sizeof(double);
   for (const auto& rc : plan_.recip) bytes += rc.size() * sizeof(double);
   return bytes;
 }
@@ -332,40 +220,14 @@ void SubsampledDctOperator::column_into(std::size_t c,
   }
 }
 
-void SubsampledDctOperator::precompute_sqnorms() {
-  // cos^2 t = (1 + cos 2t) / 2 turns every column's squared norm over
-  // the selected rows into one unscaled forward DCT of the row-indicator
-  // vector: sq[c] = c_c^2 (m + S_c)/2 with S_c = X_{2c} folded by the
-  // X_{2n-k} = -X_k symmetry.  O(n log n) instead of O(m * n).
-  const std::size_t m = rows();
-  Vector t(n_, 0.0);
-  if (row_idx_.empty()) {
-    for (std::size_t i = 0; i < n_; ++i) t[i] = 1.0;
-  } else {
-    for (std::size_t g : row_idx_) t[g] += 1.0;
+Matrix SubsampledDctOperator::to_dense() const {
+  Matrix a(rows(), cols());
+  Vector col(rows());
+  for (std::size_t c = 0; c < cols(); ++c) {
+    column_into(c, col);
+    for (std::size_t r = 0; r < rows(); ++r) a(r, c) = col[r];
   }
-  Vector tmp(n_);
-  plan_.forward(t.data(), tmp.data());
-  col_sqnorms_.assign(n_, 0.0);
-  col_sqnorms_[0] = scale0_ * scale0_ * static_cast<double>(m);
-  const double s2 = scale_ * scale_;
-  for (std::size_t c = 1; c < n_; ++c) {
-    double s_c = 0.0;
-    if (2 * c < n_) {
-      s_c = t[2 * c];
-    } else if (2 * c > n_) {
-      s_c = -t[2 * n_ - 2 * c];
-    }
-    col_sqnorms_[c] = s2 * (static_cast<double>(m) + s_c) / 2.0;
-  }
-}
-
-void SubsampledDctOperator::column_sqnorms_into(std::span<double> out) const {
-  if (out.size() != cols()) {
-    throw std::invalid_argument(
-        "SubsampledDctOperator::column_sqnorms_into: size");
-  }
-  for (std::size_t c = 0; c < n_; ++c) out[c] = col_sqnorms_[c];
+  return a;
 }
 
 }  // namespace sensedroid::linalg

@@ -121,8 +121,9 @@ void Reactor::close_fds() {
 void Reactor::serve() {
   // Wake at a fraction of the idle timeout so deadline sweeps run even
   // while every client stalls silently.
-  const int sweep_ms = std::max(
-      50, std::min(1000, static_cast<int>(config_.idle_timeout_s * 250.0)));
+  // Clamped before the cast: a timeout past ~99 days would overflow int.
+  const int sweep_ms = static_cast<int>(
+      std::clamp(config_.idle_timeout_s * 250.0, 50.0, 1000.0));
   while (running_.load(std::memory_order_acquire)) {
     int wait_ms = conns_.empty() ? -1 : sweep_ms;
     const int tick_ms = tick_ ? tick_() : -1;

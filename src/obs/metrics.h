@@ -250,6 +250,12 @@ class MetricsRegistry {
 /// number format of the RunReport, span, health and flight-recorder JSON.
 std::string format_number(double v);
 
+/// `s` as the body of a JSON string: quote and backslash get a
+/// backslash, newline, return and tab become \n, \r and \t, and every
+/// other byte below 0x20 becomes \u00XX.  The one escaper of the
+/// RunReport, span and registry JSON.
+std::string json_escape(std::string_view s);
+
 // ---------------------------------------------------------------------
 // Global attachment point.  Default: detached (all helpers no-ops).
 

@@ -30,15 +30,6 @@ std::string hist_json(const HistSummary& h) {
          ",\"max\":" + format_number(h.max) + '}';
 }
 
-std::string escape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace
 
 RunReport RunReport::from_registry(const MetricsRegistry& reg,
@@ -108,7 +99,7 @@ RunReport RunReport::from_registry(const MetricsRegistry& reg,
 
 std::string RunReport::to_json() const {
   std::string out = "{\"schema_version\":" + std::to_string(kSchemaVersion) +
-                    ",\"campaign\":\"" + escape(campaign) + "\"";
+                    ",\"campaign\":\"" + json_escape(campaign) + "\"";
   out += ",\"sim\":{\"energy_total_j\":" + format_number(energy_total_j) +
          ",\"energy_tx_j\":" + format_number(energy_tx_j) +
          ",\"energy_rx_j\":" + format_number(energy_rx_j) +

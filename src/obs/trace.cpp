@@ -30,22 +30,6 @@ double wall_us() noexcept {
       .count();
 }
 
-std::string jsonl_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::uint64_t TraceLog::begin(std::string_view name) {
@@ -105,7 +89,7 @@ std::string TraceLog::to_jsonl() const {
     out += "{\"id\":" + std::to_string(s.id) +
            ",\"parent\":" + std::to_string(s.parent) +
            ",\"depth\":" + std::to_string(s.depth) + ",\"name\":\"" +
-           jsonl_escape(s.name) + "\",\"wall_start_us\":" +
+           json_escape(s.name) + "\",\"wall_start_us\":" +
            format_number(s.wall_start_us) +
            ",\"wall_end_us\":" + format_number(s.wall_end_us) +
            ",\"virtual_start\":" + format_number(s.virtual_start) +

@@ -8,6 +8,7 @@
 // binaries stay small.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstring>
@@ -426,6 +427,44 @@ TEST_F(ObsTest, RunReportAggregatesWellKnownNames) {
   EXPECT_NE(json.find("\"reconstruction_error\":0.07"), std::string::npos);
   EXPECT_NE(json.find("\"metrics\":"), std::string::npos);
   EXPECT_FALSE(report.summary().empty());
+}
+
+TEST_F(ObsTest, JsonEscapesControlCharactersInEveryExporter) {
+  // One escaper serves the RunReport, the span JSONL and the registry
+  // JSON: control bytes become escape sequences, never raw bytes.
+  const std::string name = "a\nb\t\"c\\\x01";
+  const std::string escaped = R"(a\nb\t\"c\\\u0001)";
+  EXPECT_EQ(obs::json_escape(name), escaped);
+  const auto no_control_bytes = [](const std::string& text) {
+    return std::none_of(text.begin(), text.end(), [](char c) {
+      return static_cast<unsigned char>(c) < 0x20;
+    });
+  };
+
+  obs::MetricsRegistry reg;
+  reg.counter("test.escaped", {{"v", name}}).add(1.0);
+  const std::string json = reg.to_json();
+  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_TRUE(no_control_bytes(json)) << json;
+  EXPECT_NE(json.find("\"v\":\"" + escaped + '"'), std::string::npos)
+      << json;
+
+  const std::string report = obs::RunReport::from_registry(reg, name).to_json();
+  EXPECT_TRUE(JsonChecker(report).valid()) << report;
+  EXPECT_TRUE(no_control_bytes(report)) << report;
+  EXPECT_NE(report.find("\"campaign\":\"" + escaped + '"'),
+            std::string::npos)
+      << report;
+
+  obs::TraceLog log;
+  log.instant(name);
+  std::string jsonl = log.to_jsonl();
+  ASSERT_FALSE(jsonl.empty());
+  jsonl.pop_back();  // the line's own terminator
+  EXPECT_TRUE(JsonChecker(jsonl).valid()) << jsonl;
+  EXPECT_TRUE(no_control_bytes(jsonl)) << jsonl;
+  EXPECT_NE(jsonl.find("\"name\":\"" + escaped + '"'), std::string::npos)
+      << jsonl;
 }
 
 TEST_F(ObsTest, RegistryClearDropsSeries) {
