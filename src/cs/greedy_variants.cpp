@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "cs/greedy_batch.h"
 #include "cs/least_squares.h"
 #include "linalg/decomposition.h"
 #include "linalg/random.h"
@@ -76,12 +77,9 @@ Vector least_squares_or_ridge(const Matrix& a_sub,
 // one-shot, where seeding is pure overhead.  The cache earns its keep
 // in cs::chs, whose supports grow by sorted insertion.
 
-// One signal's CoSaMP pursuit, split so a batch driver can interleave
-// many signals: needs_sweep() runs the pre-sweep checks (cancellation,
-// tolerance, iteration budget) and, when it returns true, the caller
-// owes the proxy A^T r for the current residual `r` and must pass it to
-// step().  The sequential solver drives the same struct one signal at a
-// time, so the decomposition cannot drift from the batch path.
+// One signal's CoSaMP pursuit under greedy_batch.h's Run contract: the
+// sequential solver drives one, the batch drives many, so the two paths
+// cannot drift apart.
 struct CosampRun {
   const Matrix& a;
   std::span<const double> y;
@@ -112,7 +110,8 @@ struct CosampRun {
     if (opts.sparsity == 0) {
       throw std::invalid_argument("cosamp_solve: sparsity must be positive");
     }
-    k = std::min(opts.sparsity, std::min(m / 2, n));
+    // At least one atom: a one-row dictionary still fits one column.
+    k = std::max<std::size_t>(1, std::min({opts.sparsity, m / 2, n}));
     sol.coefficients.assign(n, 0.0);
     r.assign(y.begin(), y.end());
     y_norm = std::max(norm2(y), 1e-300);
@@ -120,20 +119,10 @@ struct CosampRun {
   }
 
   bool needs_sweep() {
-    if (done || it >= opts.max_iterations) {
-      done = true;
-      return false;
-    }
-    if (poll_cancelled(opts.cancel)) {
-      done = true;
-      return false;
-    }
-    if (norm2(r) <= opts.residual_tol * y_norm) {
-      done = true;
-      return false;
-    }
-    ++sol.iterations;
-    return true;
+    done = done || it >= opts.max_iterations || poll_cancelled(opts.cancel) ||
+           norm2(r) <= opts.residual_tol * y_norm;
+    if (!done) ++sol.iterations;
+    return !done;
   }
 
   void step(std::span<const double> proxy) {
@@ -220,22 +209,12 @@ struct IhtRun {
   }
 
   bool needs_sweep() {
-    if (done || it >= opts.max_iterations) {
-      done = true;
-      return false;
-    }
-    if (poll_cancelled(opts.cancel)) {
-      done = true;
-      return false;
-    }
-    const Vector ax = sparse_times(a, x);  // x is k-sparse
-    r = subtract(y, ax);
-    if (norm2(r) <= opts.residual_tol * y_norm) {
-      done = true;
-      return false;
-    }
-    ++sol.iterations;
-    return true;
+    done = done || it >= opts.max_iterations || poll_cancelled(opts.cancel);
+    if (done) return false;
+    r = subtract(y, sparse_times(a, x));  // x is k-sparse
+    done = norm2(r) <= opts.residual_tol * y_norm;
+    if (!done) ++sol.iterations;
+    return !done;
   }
 
   void step(std::span<const double> grad) {
@@ -288,44 +267,6 @@ struct IhtRun {
     return std::move(sol);
   }
 };
-
-// Lockstep batch driver: every round, the still-running signals' pre-
-// sweep checks decide who needs a proxy, the active residuals pack into
-// one block, and a single A^T R GEMM replaces the per-signal sweeps.
-// Each run then steps on its own slice, so everything downstream of the
-// sweep is the per-signal sequential code.
-template <typename Run>
-std::vector<SparseSolution> greedy_batch(const Matrix& a,
-                                         std::vector<Run>& runs) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  Vector packed;
-  Vector proxies;
-  std::vector<std::size_t> active;
-  active.reserve(runs.size());
-  while (true) {
-    active.clear();
-    for (std::size_t b = 0; b < runs.size(); ++b) {
-      if (runs[b].needs_sweep()) active.push_back(b);
-    }
-    if (active.empty()) break;
-    packed.resize(active.size() * m);
-    proxies.resize(active.size() * n);
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const Vector& r = runs[active[i]].r;
-      std::copy(r.begin(), r.end(), packed.begin() + i * m);
-    }
-    a.transpose_times_block(packed, active.size(), proxies);
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      runs[active[i]].step(
-          std::span<const double>(proxies.data() + i * n, n));
-    }
-  }
-  std::vector<SparseSolution> out;
-  out.reserve(runs.size());
-  for (Run& run : runs) out.push_back(run.finish());
-  return out;
-}
 
 }  // namespace
 

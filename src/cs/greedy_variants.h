@@ -64,10 +64,10 @@ SparseSolution iht_solve(const Matrix& a, std::span<const double> y,
 
 /// Batch variants: ys.size() signals against one dictionary, run in
 /// lockstep so each round's correlation sweeps become a single blocked
-/// A^T R product (Matrix::transpose_times_block).  Everything downstream
-/// of the sweep is the per-signal sequential code, so results match the
-/// sequential solvers except on near-exact correlation ties.  One
-/// solution per signal, in order.
+/// A^T R product (Matrix::transpose_times_block, bit-identical per
+/// signal to the sequential sweep).  Everything downstream of the sweep
+/// is the per-signal sequential code, so results equal the sequential
+/// solvers' bit for bit.  One solution per signal, in order.
 std::vector<SparseSolution> cosamp_solve_batch(const Matrix& a,
                                                std::span<const Vector> ys,
                                                const CosampOptions& opts);

@@ -6,11 +6,13 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 #endif
 
+#include "cs/greedy_batch.h"
 #include "linalg/gram_cache.h"
 #include "linalg/updatable_qr.h"
 #include "linalg/vector_ops.h"
@@ -52,28 +54,27 @@ double dot4(const double* __restrict a, const double* __restrict b,
 // two vmulpd (1 cycle each); the scaled values differ from the naive
 // guarded divide loop by a couple of ulps, so the greedy pick can only
 // change on near-exact ties between distinct atoms — the equivalence
-// tests against the old algorithm stay support-identical.
-std::size_t argmax_scaled(const double* __restrict corr,
-                          const double* __restrict sel,
-                          double* __restrict val, std::size_t n,
-                          double* best_val) {
-  for (std::size_t j = 0; j < n; ++j) val[j] = corr[j] * corr[j] * sel[j];
+// tests against the old algorithm stay support-identical.  The scale
+// runs in place: the correlations are spent, corr holds the scaled
+// values after.
+std::size_t argmax_scaled(double* __restrict corr,
+                          const double* __restrict sel, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) corr[j] = corr[j] * corr[j] * sel[j];
   double b0 = 0.0, b1 = 0.0, b2 = 0.0, b3 = 0.0;
   std::size_t j = 0;
   for (; j + 4 <= n; j += 4) {
-    b0 = val[j] > b0 ? val[j] : b0;
-    b1 = val[j + 1] > b1 ? val[j + 1] : b1;
-    b2 = val[j + 2] > b2 ? val[j + 2] : b2;
-    b3 = val[j + 3] > b3 ? val[j + 3] : b3;
+    b0 = corr[j] > b0 ? corr[j] : b0;
+    b1 = corr[j + 1] > b1 ? corr[j + 1] : b1;
+    b2 = corr[j + 2] > b2 ? corr[j + 2] : b2;
+    b3 = corr[j + 3] > b3 ? corr[j + 3] : b3;
   }
-  for (; j < n; ++j) b0 = val[j] > b0 ? val[j] : b0;
+  for (; j < n; ++j) b0 = corr[j] > b0 ? corr[j] : b0;
   const double b01 = b0 > b1 ? b0 : b1;
   const double b23 = b2 > b3 ? b2 : b3;
   const double best = b01 > b23 ? b01 : b23;
-  *best_val = best;
   if (!(best > 0.0)) return n;
   for (j = 0; j < n; ++j) {
-    if (val[j] == best) return j;
+    if (corr[j] == best) return j;
   }
   return n;
 }
@@ -423,117 +424,22 @@ std::size_t subtract_rows_and_argmax(const Matrix& gram,
 }
 #endif
 
-}  // namespace
+std::size_t omp_k_max(const OmpOptions& opts, std::size_t m,
+                      std::size_t n) {
+  return opts.max_sparsity == 0 ? std::min(m, n)
+                                : std::min({opts.max_sparsity, m, n});
+}
 
-SparseSolution omp_solve(const Matrix& a, std::span<const double> y,
-                         const OmpOptions& opts) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  if (m == 0 || n == 0) {
-    throw std::invalid_argument("omp_solve: empty matrix");
-  }
-  if (y.size() != m) {
-    throw std::invalid_argument("omp_solve: y size mismatch");
-  }
-  const std::size_t k_max =
-      opts.max_sparsity == 0 ? std::min(m, n)
-                             : std::min({opts.max_sparsity, m, n});
-  obs::ScopedSpan span("cs.omp.solve", "cs.omp.solve_us");
+// Squared column norms -> the argmax eligibility scale: the reciprocal,
+// or an exact 0.0 for a zero-norm column, which scales any finite
+// correlation down to an exact 0.
+void invert_sqnorms(std::span<double> sqnorms) {
+  for (double& s : sqnorms) s = s == 0.0 ? 0.0 : 1.0 / s;
+}
 
-  // One scratch block for the per-candidate arrays (correlations, the
-  // argmax scratch, the eligibility scale) and the picked-column copy:
-  // the Fig. 4 solve is short enough that per-vector malloc/free shows
-  // up, and the four live regions never overlap.
-  Vector scratch(3 * n + m);
-  const std::span<double> corr(scratch.data(), n);
-  const std::span<double> sel(scratch.data() + n, n);
-  const std::span<double> val(scratch.data() + 2 * n, n);
-  const std::span<double> col_buf(scratch.data() + 3 * n, m);
-
-  // Column norms make the correlation scale-invariant even if a caller
-  // passes a non-normalized dictionary.  The norms sweep is fused with
-  // the first correlation pass (residual == y there), saving one full
-  // traversal of the dictionary, and the argmax compares *squared*
-  // normalized correlations, so only the reciprocal squared norm is
-  // kept — no sqrt pass.  sel[] doubles as the argmax eligibility mask:
-  // an exact 0.0 for zero-norm (and later picked) columns scales any
-  // finite correlation down to an exact 0.
-  a.transpose_times_sqnorms_into(y, corr, sel);
-  bool have_corr = true;
-  for (std::size_t j = 0; j < n; ++j) {
-    sel[j] = sel[j] == 0.0 ? 0.0 : 1.0 / sel[j];
-  }
-
-  SparseSolution sol;
-  sol.coefficients.assign(n, 0.0);
-  Vector residual(y.begin(), y.end());
-  const double y_norm = norm2(y);
-  double prev_res = y_norm;
-  double res = y_norm;
-
-  // Incremental factorization of the support columns (the "orthogonal"
-  // step).  Appending the picked column extends Q/R in O(mk); because
-  // the new Q column q is orthonormal to the previous ones, the exact
-  // least-squares residual updates in place as r -= (q.y) q, so each
-  // greedy iteration is one correlation pass + O(mk) bookkeeping instead
-  // of a from-scratch O(mk^2) QR.  Coefficients are recovered once at
-  // the end by a single back-substitution against the maintained Q^T y.
-  linalg::UpdatableQR qr(m, k_max);
-  Vector qty;
-  qty.reserve(k_max);
-
-  while (sol.support.size() < k_max) {
-    if (poll_cancelled(opts.cancel)) break;
-    if (res <= opts.residual_tol * std::max(y_norm, 1e-300)) break;
-    // Greedy step: column with the largest normalized correlation.  The
-    // first iteration's correlations were fused with the norms sweep.
-    if (!have_corr) a.transpose_times_into(residual, corr);
-    have_corr = false;
-    double best_val = 0.0;
-    const std::size_t best =
-        argmax_scaled(corr.data(), sel.data(), val.data(), n, &best_val);
-    if (best == n) break;  // nothing left correlates
-
-    a.col_into(best, col_buf);
-    if (!qr.append_column(col_buf)) {
-      // Numerically dependent on the support already picked: it cannot
-      // reduce the residual, and no remaining candidate beat it, so the
-      // pursuit has converged to the span it can reach.
-      break;
-    }
-    sel[best] = 0.0;
-    sol.support.push_back(best);
-    ++sol.iterations;
-
-    const auto q = qr.q_column(qr.size() - 1);
-    const double qy = dot4(q.data(), y.data(), m);
-    qty.push_back(qy);
-    axpy(-qy, q, residual);
-    res = norm2(residual);
-    obs::fr_record(obs::FrEvent::kSolverIteration,
-                   static_cast<std::uint32_t>(sol.iterations), res);
-
-    if (opts.min_improvement > 0.0 &&
-        prev_res - res < opts.min_improvement * std::max(y_norm, 1e-300)) {
-      // The atom bought almost nothing: undo it (restore the residual
-      // before the Q column disappears, then downdate) and stop.  Note
-      // sol.iterations stays: the work was performed even though the
-      // atom was rejected.
-      axpy(qy, q, residual);
-      qr.remove_last();
-      qty.pop_back();
-      sol.support.pop_back();
-      res = norm2(residual);
-      break;
-    }
-    prev_res = res;
-  }
-
-  const Vector coef_on_support = qr.solve_from_qty(qty);
-  for (std::size_t i = 0; i < sol.support.size(); ++i) {
-    sol.coefficients[sol.support[i]] = coef_on_support[i];
-  }
-  sol.residual_norm = res;
+// One solve's flight-recorder event and cs.omp.* metrics, emitted in
+// signal order by every OMP path.
+void record_omp_solve(const SparseSolution& sol, double y_norm) {
   obs::fr_record(obs::FrEvent::kSolverSolve,
                  static_cast<std::uint32_t>(sol.support.size()),
                  sol.residual_norm);
@@ -546,7 +452,145 @@ SparseSolution omp_solve(const Matrix& a, std::span<const double> y,
     obs::observe("cs.omp.residual_rel",
                  sol.residual_norm / std::max(y_norm, 1e-300));
   }
-  return sol;
+}
+
+// One signal's OMP pursuit under greedy_batch.h's Run contract: omp_solve
+// drives one, omp_solve_batch's lockstep drives many, so the two paths
+// cannot drift apart.  `sel` is the eligibility scale (invert_sqnorms
+// of the column norms, which make the correlation scale-invariant even
+// if a caller passes a non-normalized dictionary); picked atoms drop to
+// an exact 0.0.
+//
+// The support columns are factored incrementally (the "orthogonal"
+// step).  Appending the picked column extends Q/R in O(mk); because the
+// new Q column q is orthonormal to the previous ones, the exact
+// least-squares residual updates in place as r -= (q.y) q, so each
+// greedy iteration is one correlation pass + O(mk) bookkeeping instead
+// of a from-scratch O(mk^2) QR.  Coefficients are recovered once in
+// finish() by a single back-substitution against the maintained Q^T y.
+struct OmpRun {
+  const Matrix& a;
+  std::span<const double> y;
+  const OmpOptions& opts;
+  Vector sel;
+  std::size_t k_max;
+  SparseSolution sol;
+  Vector r;
+  Vector col_buf;
+  linalg::UpdatableQR qr;
+  Vector qty;
+  double y_norm;
+  double prev_res;
+  double res;
+  bool done = false;
+
+  OmpRun(const Matrix& a_in, std::span<const double> y_in,
+         const OmpOptions& opts_in, Vector sel_in)
+      : a(a_in),
+        y(y_in),
+        opts(opts_in),
+        sel(std::move(sel_in)),
+        k_max(omp_k_max(opts, a.rows(), a.cols())),
+        r(y.begin(), y.end()),
+        col_buf(a.rows()),
+        qr(a.rows(), k_max),
+        y_norm(norm2(y)),
+        prev_res(y_norm),
+        res(y_norm) {
+    sol.coefficients.assign(a.cols(), 0.0);
+    qty.reserve(k_max);
+  }
+
+  bool needs_sweep() {
+    done = done || sol.support.size() >= k_max ||
+           poll_cancelled(opts.cancel) ||
+           res <= opts.residual_tol * std::max(y_norm, 1e-300);
+    return !done;
+  }
+
+  // Greedy step on corr = A^T r: the column with the largest normalized
+  // correlation joins the support.
+  void step(std::span<double> corr) {
+    const std::size_t n = corr.size();
+    const std::size_t best = argmax_scaled(corr.data(), sel.data(), n);
+    if (best == n) {  // nothing left correlates
+      done = true;
+      return;
+    }
+    a.col_into(best, col_buf);
+    if (!qr.append_column(col_buf)) {
+      // Numerically dependent on the support already picked: it cannot
+      // reduce the residual, and no remaining candidate beat it, so the
+      // pursuit has converged to the span it can reach.
+      done = true;
+      return;
+    }
+    sel[best] = 0.0;
+    sol.support.push_back(best);
+    ++sol.iterations;
+
+    const auto q = qr.q_column(qr.size() - 1);
+    const double qy = dot4(q.data(), y.data(), q.size());
+    qty.push_back(qy);
+    axpy(-qy, q, r);
+    res = norm2(r);
+    obs::fr_record(obs::FrEvent::kSolverIteration,
+                   static_cast<std::uint32_t>(sol.iterations), res);
+
+    if (opts.min_improvement > 0.0 &&
+        prev_res - res < opts.min_improvement * std::max(y_norm, 1e-300)) {
+      // The atom bought almost nothing: undo it (restore the residual
+      // before the Q column disappears, then downdate) and stop.  Note
+      // sol.iterations stays: the work was performed even though the
+      // atom was rejected.
+      axpy(qy, q, r);
+      qr.remove_last();
+      qty.pop_back();
+      sol.support.pop_back();
+      res = norm2(r);
+      done = true;
+      return;
+    }
+    prev_res = res;
+  }
+
+  SparseSolution finish() {
+    const Vector coef_on_support = qr.solve_from_qty(qty);
+    for (std::size_t i = 0; i < sol.support.size(); ++i) {
+      sol.coefficients[sol.support[i]] = coef_on_support[i];
+    }
+    sol.residual_norm = res;
+    record_omp_solve(sol, y_norm);
+    return std::move(sol);
+  }
+};
+
+}  // namespace
+
+SparseSolution omp_solve(const Matrix& a, std::span<const double> y,
+                         const OmpOptions& opts) {
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+  if (m == 0 || n == 0) {
+    throw std::invalid_argument("omp_solve: empty matrix");
+  }
+  if (y.size() != m) {
+    throw std::invalid_argument("omp_solve: y size mismatch");
+  }
+  obs::ScopedSpan span("cs.omp.solve", "cs.omp.solve_us");
+
+  // The column-norm sweep is fused with the first correlation pass
+  // (residual == y there), saving one full traversal of the dictionary.
+  Vector corr(n);
+  Vector sel(n);
+  a.transpose_times_sqnorms_into(y, corr, sel);
+  invert_sqnorms(sel);
+  OmpRun run(a, y, opts, std::move(sel));
+  for (bool fused = true; run.needs_sweep(); fused = false) {
+    if (!fused) a.transpose_times_into(run.r, corr);
+    run.step(corr);
+  }
+  return run.finish();
 }
 
 std::vector<SparseSolution> omp_solve_batch(const Matrix& a,
@@ -569,9 +613,7 @@ std::vector<SparseSolution> omp_solve_batch(const Matrix& a,
     out.push_back(omp_solve(a, ys[0], opts));
     return out;
   }
-  const std::size_t k_max =
-      opts.max_sparsity == 0 ? std::min(m, n)
-                             : std::min({opts.max_sparsity, m, n});
+  const std::size_t k_max = omp_k_max(opts, m, n);
   obs::ScopedSpan span("cs.omp.solve_batch", "cs.omp.solve_batch_us");
 
   // Shared eligibility template: reciprocal squared column norms, built
@@ -579,7 +621,7 @@ std::vector<SparseSolution> omp_solve_batch(const Matrix& a,
   // zero (a sum of squares), so eligibility is order-independent.
   Vector sel_template(n);
   a.col_sqnorms_into(sel_template);
-  for (double& s : sel_template) s = s == 0.0 ? 0.0 : 1.0 / s;
+  invert_sqnorms(sel_template);
 
   // Gram fast path (Rubinstein-style Batch-OMP): with G = A^T A in hand
   // (memoized per dictionary by linalg::shared_gram), each signal's
@@ -605,9 +647,7 @@ std::vector<SparseSolution> omp_solve_batch(const Matrix& a,
   // across calls, so even tiny batches amortize it; oversized batches
   // are processed in fixed-size windows rather than excluded.
   const std::size_t tri = k_max * (k_max + 1) / 2;
-  const bool use_gram =
-      n * n * sizeof(double) <= (std::size_t{32} << 20) &&
-      2 * k_max * m > k_max * k_max;
+  const bool use_gram = n * n * sizeof(double) <= (std::size_t{32} << 20);
 
   if (use_gram) {
     const std::shared_ptr<const Matrix> gram_sp = linalg::shared_gram(a);
@@ -834,147 +874,20 @@ std::vector<SparseSolution> omp_solve_batch(const Matrix& a,
           res_out = norm2(rbuf);
         }
         sol.residual_norm = res_out;
-        obs::fr_record(obs::FrEvent::kSolverSolve,
-                       static_cast<std::uint32_t>(accepted), res_out);
-        if (obs::attached()) {
-          obs::add_counter("cs.omp.solves");
-          obs::add_counter("cs.omp.iterations",
-                           static_cast<double>(sol.iterations));
-          obs::add_counter("cs.omp.accepted_atoms",
-                           static_cast<double>(accepted));
-          obs::observe("cs.omp.residual_rel",
-                       res_out / std::max(y_norm, 1e-300));
-        }
+        record_omp_solve(sol, y_norm);
         out.push_back(std::move(sol));
       }
     }
     return out;
   }
 
-  struct State {
-    SparseSolution sol;
-    Vector residual;
-    Vector sel;
-    Vector qty;
-    double y_norm = 0.0;
-    double prev_res = 0.0;
-    double res = 0.0;
-    bool stopped = false;
-  };
-  std::vector<State> st(bcount);
-  std::vector<linalg::UpdatableQR> qrs;
-  qrs.reserve(bcount);
-  for (std::size_t b = 0; b < bcount; ++b) {
-    State& s = st[b];
-    s.sol.coefficients.assign(n, 0.0);
-    s.residual.assign(ys[b].begin(), ys[b].end());
-    s.sel = sel_template;
-    s.qty.reserve(k_max);
-    s.y_norm = norm2(ys[b]);
-    s.prev_res = s.y_norm;
-    s.res = s.y_norm;
-    qrs.emplace_back(m, k_max);
-  }
-
-  Vector val(n);
-  Vector col_buf(m);
-  Vector packed;
-  Vector proxies;
-  std::vector<std::size_t> active;
-  active.reserve(bcount);
-
-  while (true) {
-    active.clear();
-    for (std::size_t b = 0; b < bcount; ++b) {
-      State& s = st[b];
-      if (s.stopped || s.sol.support.size() >= k_max) continue;
-      if (poll_cancelled(opts.cancel)) {
-        s.stopped = true;
-        continue;
-      }
-      if (s.res <= opts.residual_tol * std::max(s.y_norm, 1e-300)) continue;
-      active.push_back(b);
-    }
-    if (active.empty()) break;
-
-    // One blocked A^T R GEMM serves every still-active signal.
-    packed.resize(active.size() * m);
-    proxies.resize(active.size() * n);
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const Vector& r = st[active[i]].residual;
-      std::copy(r.begin(), r.end(), packed.begin() + i * m);
-    }
-    a.transpose_times_block(packed, active.size(), proxies);
-
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const std::size_t b = active[i];
-      State& s = st[b];
-      const double* corr = proxies.data() + i * n;
-
-      double best_val = 0.0;
-      const std::size_t best =
-          argmax_scaled(corr, s.sel.data(), val.data(), n, &best_val);
-      if (best == n) {
-        s.stopped = true;
-        continue;
-      }
-      a.col_into(best, col_buf);
-      if (!qrs[b].append_column(col_buf)) {
-        s.stopped = true;
-        continue;
-      }
-      s.sel[best] = 0.0;
-      s.sol.support.push_back(best);
-      ++s.sol.iterations;
-
-      const auto q = qrs[b].q_column(qrs[b].size() - 1);
-      const double qy = dot4(q.data(), ys[b].data(), m);
-      s.qty.push_back(qy);
-      axpy(-qy, q, s.residual);
-      s.res = norm2(s.residual);
-      obs::fr_record(obs::FrEvent::kSolverIteration,
-                     static_cast<std::uint32_t>(s.sol.iterations), s.res);
-
-      if (opts.min_improvement > 0.0 &&
-          s.prev_res - s.res <
-              opts.min_improvement * std::max(s.y_norm, 1e-300)) {
-        axpy(qy, q, s.residual);
-        qrs[b].remove_last();
-        s.qty.pop_back();
-        s.sol.support.pop_back();
-        s.res = norm2(s.residual);
-        s.stopped = true;
-        continue;
-      }
-      s.prev_res = s.res;
-    }
-  }
-
-  // Fold results (and per-signal metrics) in signal order, matching what
-  // a sequential loop over omp_solve would have emitted.
-  out.reserve(bcount);
-  for (std::size_t b = 0; b < bcount; ++b) {
-    State& s = st[b];
-    const Vector coef_on_support = qrs[b].solve_from_qty(s.qty);
-    for (std::size_t j = 0; j < s.sol.support.size(); ++j) {
-      s.sol.coefficients[s.sol.support[j]] = coef_on_support[j];
-    }
-    s.sol.residual_norm = s.res;
-    obs::fr_record(obs::FrEvent::kSolverSolve,
-                   static_cast<std::uint32_t>(s.sol.support.size()),
-                   s.sol.residual_norm);
-    if (obs::attached()) {
-      obs::add_counter("cs.omp.solves");
-      obs::add_counter("cs.omp.iterations",
-                       static_cast<double>(s.sol.iterations));
-      obs::add_counter("cs.omp.accepted_atoms",
-                       static_cast<double>(s.sol.support.size()));
-      obs::observe("cs.omp.residual_rel",
-                   s.sol.residual_norm / std::max(s.y_norm, 1e-300));
-    }
-    out.push_back(std::move(s.sol));
-  }
-  return out;
+  // Above the Gram budget, every signal runs omp_solve's own pursuit and
+  // the lockstep driver shares each round's sweeps through one blocked
+  // GEMM: bit for bit the sequential result.
+  std::vector<OmpRun> runs;
+  runs.reserve(bcount);
+  for (const Vector& y : ys) runs.emplace_back(a, y, opts, sel_template);
+  return greedy_batch(a, runs);
 }
 
 Vector reconstruct(const Matrix& basis, const SparseSolution& sol) {

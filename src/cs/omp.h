@@ -52,12 +52,13 @@ SparseSolution omp_solve(const Matrix& a, std::span<const double> y,
 /// blocked A^T Y GEMM up front, a progressive Cholesky of G_SS, O(nk)
 /// correlation updates in place of O(nm) sweeps, and one final
 /// back-substitution for the coefficients; the reported residual_norm
-/// is recomputed exactly from y - A_S alpha.  Otherwise the sequential
-/// algorithm runs per signal with the correlation sweeps shared through
-/// one blocked GEMM per lockstep round.  Supports match the sequential
-/// solves except on near-exact correlation ties; coefficients and
-/// residual_norm agree to ~1e-12 (same least-squares problem, different
-/// arithmetic).  Each signal's output is a deterministic function of
+/// is recomputed exactly from y - A_S alpha.  That path's supports match
+/// the sequential solves except on near-exact correlation ties, and its
+/// coefficients and residual_norm agree to ~1e-12 (same least-squares
+/// problem, different arithmetic).  Above the Gram budget every signal
+/// runs omp_solve's own pursuit, with each lockstep round's correlation
+/// sweeps shared through one blocked GEMM: bit for bit the sequential
+/// result.  Each signal's output is a deterministic function of
 /// (a, y, opts) alone for any batch of two or more, so chunking a
 /// workload into batches never changes a result bit (a batch of one
 /// routes through omp_solve).  Returns one solution per signal, in

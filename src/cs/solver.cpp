@@ -44,29 +44,43 @@ SparseSolution full_support_solution(const Matrix& a,
   return s;
 }
 
+// Each greedy solver translates the context in one place that both
+// solve() and solve_batch() use.
+OmpOptions omp_options(const SolveContext& ctx) {
+  OmpOptions o;
+  o.max_sparsity = ctx.sparsity;  // 0 = min(M, N), OMP's own default
+  if (ctx.residual_tol >= 0.0) o.residual_tol = ctx.residual_tol;
+  // ctx.max_iterations is redundant for OMP (one atom per iteration,
+  // already bounded by the sparsity budget) and is ignored.
+  o.cancel = ctx.cancel;
+  return o;
+}
+
+// CoSaMP and IHT share one translation: both are K-targeted (their
+// solvers reject sparsity 0) and name the same fields.
+template <typename Options>
+Options k_targeted_options(const SolveContext& ctx) {
+  Options o;
+  o.sparsity = ctx.sparsity;
+  if (ctx.max_iterations) o.max_iterations = ctx.max_iterations;
+  if (ctx.residual_tol >= 0.0) o.residual_tol = ctx.residual_tol;
+  o.cancel = ctx.cancel;
+  return o;
+}
+
 class OmpSolver final : public SparseSolver {
  public:
   std::string_view name() const noexcept override { return "omp"; }
   SparseSolution solve(const Matrix& a, std::span<const double> y,
                        const SolveContext& ctx) const override {
     SinkGuard guard(ctx);
-    OmpOptions o;
-    o.max_sparsity = ctx.sparsity;  // 0 = min(M, N), OMP's own default
-    if (ctx.residual_tol >= 0.0) o.residual_tol = ctx.residual_tol;
-    // ctx.max_iterations is redundant for OMP (one atom per iteration,
-    // already bounded by the sparsity budget) and is ignored.
-    o.cancel = ctx.cancel;
-    return omp_solve(a, y, o);
+    return omp_solve(a, y, omp_options(ctx));
   }
   std::vector<SparseSolution> solve_batch(
       const Matrix& a, std::span<const Vector> ys,
       const SolveContext& ctx) const override {
     SinkGuard guard(ctx);
-    OmpOptions o;
-    o.max_sparsity = ctx.sparsity;
-    if (ctx.residual_tol >= 0.0) o.residual_tol = ctx.residual_tol;
-    o.cancel = ctx.cancel;
-    return omp_solve_batch(a, ys, o);
+    return omp_solve_batch(a, ys, omp_options(ctx));
   }
 };
 
@@ -76,23 +90,14 @@ class CosampSolver final : public SparseSolver {
   SparseSolution solve(const Matrix& a, std::span<const double> y,
                        const SolveContext& ctx) const override {
     SinkGuard guard(ctx);
-    CosampOptions o;
-    o.sparsity = ctx.sparsity;  // 0 rejected by cosamp_solve (K-targeted)
-    if (ctx.max_iterations) o.max_iterations = ctx.max_iterations;
-    if (ctx.residual_tol >= 0.0) o.residual_tol = ctx.residual_tol;
-    o.cancel = ctx.cancel;
-    return cosamp_solve(a, y, o);
+    return cosamp_solve(a, y, k_targeted_options<CosampOptions>(ctx));
   }
   std::vector<SparseSolution> solve_batch(
       const Matrix& a, std::span<const Vector> ys,
       const SolveContext& ctx) const override {
     SinkGuard guard(ctx);
-    CosampOptions o;
-    o.sparsity = ctx.sparsity;
-    if (ctx.max_iterations) o.max_iterations = ctx.max_iterations;
-    if (ctx.residual_tol >= 0.0) o.residual_tol = ctx.residual_tol;
-    o.cancel = ctx.cancel;
-    return cosamp_solve_batch(a, ys, o);
+    return cosamp_solve_batch(a, ys,
+                              k_targeted_options<CosampOptions>(ctx));
   }
 };
 
@@ -102,23 +107,13 @@ class IhtSolver final : public SparseSolver {
   SparseSolution solve(const Matrix& a, std::span<const double> y,
                        const SolveContext& ctx) const override {
     SinkGuard guard(ctx);
-    IhtOptions o;
-    o.sparsity = ctx.sparsity;  // 0 rejected by iht_solve (K-targeted)
-    if (ctx.max_iterations) o.max_iterations = ctx.max_iterations;
-    if (ctx.residual_tol >= 0.0) o.residual_tol = ctx.residual_tol;
-    o.cancel = ctx.cancel;
-    return iht_solve(a, y, o);
+    return iht_solve(a, y, k_targeted_options<IhtOptions>(ctx));
   }
   std::vector<SparseSolution> solve_batch(
       const Matrix& a, std::span<const Vector> ys,
       const SolveContext& ctx) const override {
     SinkGuard guard(ctx);
-    IhtOptions o;
-    o.sparsity = ctx.sparsity;
-    if (ctx.max_iterations) o.max_iterations = ctx.max_iterations;
-    if (ctx.residual_tol >= 0.0) o.residual_tol = ctx.residual_tol;
-    o.cancel = ctx.cancel;
-    return iht_solve_batch(a, ys, o);
+    return iht_solve_batch(a, ys, k_targeted_options<IhtOptions>(ctx));
   }
 };
 

@@ -96,13 +96,15 @@ class SparseSolver {
 
   /// Solves many signals against one dictionary.  The base implementation
   /// loops solve(), so every registered solver gets the batch signature
-  /// for free; the greedy solvers (omp/cosamp/iht) override it to share
-  /// the correlation sweeps across the batch (one blocked A^T R product,
-  /// or a per-batch Gram matrix).  Overrides must return results equal to
-  /// the sequential loop up to near-exact correlation ties: identical
-  /// supports, coefficients within 1e-12.  One solution per signal, in
-  /// order; ctx (including the metrics sink and cancel token) applies to
-  /// the whole batch.
+  /// for free; the greedy solvers (omp/cosamp/iht) override it.  Their
+  /// overrides run one lockstep driver over the sequential solvers' own
+  /// per-signal pursuits, sharing each round's correlation sweeps through
+  /// one blocked A^T R product, so they return the sequential loop's
+  /// results bit for bit.  The one exception is omp below the Gram
+  /// budget, which solves in coefficient space from a shared A^T A:
+  /// identical supports up to near-exact correlation ties, coefficients
+  /// within 1e-12.  One solution per signal, in order; ctx (including
+  /// the metrics sink and cancel token) applies to the whole batch.
   virtual std::vector<SparseSolution> solve_batch(
       const linalg::Matrix& a, std::span<const linalg::Vector> ys,
       const SolveContext& ctx) const;

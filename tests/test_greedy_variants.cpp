@@ -77,6 +77,16 @@ TEST(Cosamp, ZeroSignal) {
   EXPECT_LT(sl::norm2(sol.coefficients), 1e-12);
 }
 
+// With one measurement, K is capped at max(1, M / 2): the pursuit still
+// fits one atom instead of iterating on an empty support.
+TEST(Cosamp, OneRowDictionaryFitsOneAtom) {
+  const auto a = random_matrix(1, 8, 6);
+  const sl::Vector y{a(0, 3)};
+  const auto sol = sc::cosamp_solve(a, y, {.sparsity = 2});
+  EXPECT_EQ(sol.support.size(), 1u);
+  EXPECT_LE(sol.residual_norm, 1e-12);
+}
+
 // ----------------------------------------------------------------- IHT ----
 
 TEST(Iht, RecoversSparseSignal) {
