@@ -139,25 +139,38 @@ BENCHMARK(BM_ChsReconstruct)->Arg(128)->Arg(256)->Arg(512);
 
 // The production per-zone solve: NanoCloud's default CHS (2-D kLinear
 // Upsilon, GLS refit over a heterogeneous fleet) against its factored
-// separable 2-D DCT basis, on solve-heavy's 16x16 zone with m = 64 and
-// zones-faulted's 8x8 zone with m = 20.  BM_ChsReconstruct runs 1-D
-// zero-fill OLS and never reaches Upsilon.
-void BM_ChsZone2d(benchmark::State& state) {
-  const auto side = static_cast<std::size_t>(state.range(0));
-  const auto m = static_cast<std::size_t>(state.range(1));
-  const auto basis = linalg::dct2_factored(side, side);
+// separable 2-D DCT basis, on a side x side zone with m samples.
+struct ChsZone {
+  linalg::Basis basis;
+  cs::Measurement meas;
+  cs::ChsOptions opts;
+
+  cs::ChsResult solve() const {
+    return cs::chs_reconstruct(basis, meas, opts);
+  }
+};
+
+ChsZone chs_zone(std::size_t side, std::size_t m) {
   linalg::Rng rng(21);
   const auto x = sparse_signal(linalg::dct2_basis(side, side), 6, rng);
   auto plan = cs::MeasurementPlan::random(side * side, m, rng);
   auto noise = cs::SensorNoise::heterogeneous(m, 0.05, 0.5, rng);
-  const auto meas = cs::measure(x, std::move(plan), std::move(noise), rng);
   cs::ChsOptions opts;
   opts.interpolation = cs::Interpolation::kLinear;
   opts.refit_solver = "gls";
   opts.grid_height = side;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cs::chs_reconstruct(basis, meas, opts));
-  }
+  return {linalg::dct2_factored(side, side),
+          cs::measure(x, std::move(plan), std::move(noise), rng),
+          std::move(opts)};
+}
+
+// solve-heavy's 16x16 zone with m = 64 and zones-faulted's 8x8 zone with
+// m = 20, plus a 64x64 zone with m = 512.  BM_ChsReconstruct runs 1-D
+// zero-fill OLS and never reaches Upsilon.
+void BM_ChsZone2d(benchmark::State& state) {
+  const ChsZone zone = chs_zone(static_cast<std::size_t>(state.range(0)),
+                                static_cast<std::size_t>(state.range(1)));
+  for (auto _ : state) benchmark::DoNotOptimize(zone.solve());
 }
 BENCHMARK(BM_ChsZone2d)->Args({16, 64})->Args({8, 20})->Args({64, 512});
 
@@ -218,9 +231,10 @@ BENCHMARK(BM_PseudoInverse)->Arg(16)->Arg(48);
 // ---------------------------------------------------------------------
 // Fig. 4 regime trajectory point: median per-solve microseconds for each
 // solver at n=256, m=30, k~10 (the per-zone per-round hot path the exec
-// engine fans out).  Written as machine-readable JSON to
-// $SENSEDROID_BENCH_JSON (default ./BENCH_solvers.json) so the bench
-// trajectory has comparable before/after points across PRs.
+// engine fans out), plus BM_ChsZone2d's two campaign zone solves.
+// Written as machine-readable JSON to $SENSEDROID_BENCH_JSON (default
+// ./BENCH_solvers.json) so the bench trajectory has comparable
+// before/after points across PRs.
 
 template <typename Fn>
 double median_solve_us(std::size_t reps, Fn&& solve_once) {
@@ -264,6 +278,13 @@ bool write_fig4_regime_json() {
   const double chs_us = median_solve_us(reps, [&] {
     benchmark::DoNotOptimize(cs::chs_reconstruct(basis, meas));
   });
+  // The campaign zone solves of BM_ChsZone2d, so the trajectory gate
+  // covers the production shape as well as the Fig. 4 one.
+  const ChsZone zone16 = chs_zone(16, 64), zone8 = chs_zone(8, 20);
+  const double zone16_us = median_solve_us(
+      reps, [&] { benchmark::DoNotOptimize(zone16.solve()); });
+  const double zone8_us = median_solve_us(
+      reps, [&] { benchmark::DoNotOptimize(zone8.solve()); });
   const double ols_us = median_solve_us(reps, [&] {
     benchmark::DoNotOptimize(cs::solve_ols(support_cols, y));
   });
@@ -312,15 +333,17 @@ bool write_fig4_regime_json() {
                "\"fixture\":{\"n\":%zu,\"m\":%zu,\"k\":%zu,\"reps\":%zu},"
                "\"median_us\":{\"omp\":%.3f,\"cosamp\":%.3f,\"iht\":%.3f,"
                "\"chs\":%.3f,\"ols_30x10\":%.3f,\"bp\":%.3f,"
-               "\"bp_warm\":%.3f,\"bp_tableau\":%.3f}}\n",
+               "\"bp_warm\":%.3f,\"bp_tableau\":%.3f,"
+               "\"chs_zone_16x16\":%.3f,\"chs_zone_8x8\":%.3f}}\n",
                label, n, m, k, reps, omp_us, cosamp_us, iht_us, chs_us,
-               ols_us, bp_us, bp_warm_us, bp_tableau_us);
+               ols_us, bp_us, bp_warm_us, bp_tableau_us, zone16_us, zone8_us);
   std::fclose(f);
   std::printf("fig4 regime (n=%zu m=%zu k=%zu) median us: omp=%.2f "
               "cosamp=%.2f iht=%.2f chs=%.2f ols=%.2f bp=%.2f "
-              "bp_warm=%.2f bp_tableau=%.2f -> %s\n",
+              "bp_warm=%.2f bp_tableau=%.2f chs_zone_16x16=%.2f "
+              "chs_zone_8x8=%.2f -> %s\n",
               n, m, k, omp_us, cosamp_us, iht_us, chs_us, ols_us, bp_us,
-              bp_warm_us, bp_tableau_us, path.c_str());
+              bp_warm_us, bp_tableau_us, zone16_us, zone8_us, path.c_str());
   return true;
 }
 

@@ -328,8 +328,8 @@ std::optional<Measurement> mad_screen(const Measurement& meas,
 }
 
 // The Fig. 6 loop reads its basis through one view: the basis, Phi's
-// rows at the plan's sampled locations (the refit columns and the M x K
-// refit matrix Phi~_K come from them), and the per-solve grid buffers of
+// rows at the plan's sampled locations (the support's columns of Phi~
+// come from them), and the per-solve grid buffers of
 // steps (a)+(b), so an iteration's analyze allocates nothing.  A solve
 // copies no rows of Phi, and a factored basis forms each entry it is
 // asked for from its factors and analyzes through two w x w / h x h
@@ -394,15 +394,39 @@ ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
   const Upsilon upsilon(meas.plan.indices(), n, opts.grid_height,
                         opts.interpolation);
 
-  // The support grows by sorted insertion each accepted batch and the
-  // undo path retracts exactly the last batch, so successive refit
-  // supports share long prefixes: route "ols" and "gls" refits through
-  // the incremental factorization cache (prefix reuse,
-  // O(mk) per new column).  The noise model is fixed for the whole solve
-  // (under MAD screening it is the screened one), so GLS whitens y and
-  // the row weights once, here.  Custom registry solvers and "bp" keep
-  // their own path; a numerically dependent support falls back to the
-  // registry solver, then ridge.
+  ChsResult res;
+  res.coefficients.assign(n, 0.0);
+  // J in selection order: each batch is appended, sorted by index, and
+  // the undo path drops exactly the last batch, so every refit's support
+  // extends the previous one.  J is sorted by index once, after the loop.
+  // Phi~'s columns on J sit in the same order in one per-solve store,
+  // column t at phi_cols[t m, (t + 1) m), for the residual and the
+  // fallback refits.
+  std::vector<bool> in_support(n, false);
+  Vector phi_cols(k_budget * m);
+  const auto phi_col = [&](std::size_t t) {
+    return std::span<const double>(phi_cols).subspan(t * m, m);
+  };
+  const auto append_atom = [&](std::size_t j) {
+    view.sampled.column_into(
+        j, std::span<double>(phi_cols).subspan(res.support.size() * m, m));
+    in_support[j] = true;
+    res.support.push_back(j);
+  };
+  // The M x K refit matrix Phi~_K, built only for the refits that take one.
+  const auto phi_k = [&] {
+    const std::size_t k = res.support.size();
+    return Matrix::from_rows(k, m, std::span(phi_cols).first(k * m))
+        .transpose();
+  };
+
+  // "ols" and "gls" refits go through the incremental factorization
+  // cache, which reuses the whole previous support and appends only the
+  // new batch (O(mk) per new column).  The noise model is fixed for the
+  // whole solve (under MAD screening it is the screened one), so GLS
+  // whitens y and the row weights once, here.  Custom registry solvers
+  // and "bp" keep their own path; a numerically dependent support falls
+  // back to the registry solver, then ridge.
   std::optional<CachedRefit> cached;
   if (refit->name() == "ols" || refit->name() == "gls") {
     cached.emplace(meas.values,
@@ -413,105 +437,93 @@ ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
                    });
   }
   std::size_t cache_cols_reused = 0;
-  // BP refits thread the previous round's optimal basis into the next
-  // solve: the support only grows between accepted batches, so every
-  // old basis column still exists in the new [phi_k, -phi_k] universe
-  // and the old vertex stays primal feasible for the unchanged y — the
-  // warm-started simplex skips phase 1 outright.  Basis ids are local
-  // to each refit's support, so they are remapped through dictionary
-  // column ids.  While the support is still too small to span y the LP
-  // is infeasible; the ridge fallback covers those early rounds.
+  // BP refits thread the previous refit's optimal basis into the next
+  // solve: the previous support of size kp is a prefix of the new one of
+  // size k, so every old basis column still exists in the new
+  // [phi_k, -phi_k] universe, shifted past the k - kp new atoms on each
+  // side, and the old vertex stays primal feasible for the unchanged y —
+  // the warm-started simplex skips phase 1 outright.  While the support
+  // is still too small to span y the LP is infeasible; the ridge
+  // fallback covers those early rounds.
   const bool bp_refit =
       refit->name() == "bp" || refit->name() == "basis_pursuit";
-  std::vector<std::size_t> bp_prev_support;
+  std::size_t bp_prev_k = 0;
   std::vector<std::size_t> bp_prev_basis;
-  const auto refit_fit = [&](const Matrix& phi_k,
-                             const std::vector<std::size_t>& support) {
-    if (bp_refit) {
-      const std::size_t k = support.size();
-      BasisPursuitOptions bo;
-      bo.lp.cancel = opts.cancel;
-      if (!bp_prev_basis.empty()) {
-        const std::size_t kp = bp_prev_support.size();
-        std::vector<std::size_t> warm;
-        warm.reserve(bp_prev_basis.size());
-        bool ok = true;
-        for (const std::size_t id : bp_prev_basis) {
-          if (id >= 2 * kp) {  // row artificial: position is preserved
-            warm.push_back(2 * k + (id - 2 * kp));
-            continue;
-          }
-          const std::size_t dict = bp_prev_support[id < kp ? id : id - kp];
-          const auto it =
-              std::lower_bound(support.begin(), support.end(), dict);
-          if (it == support.end() || *it != dict) {
-            ok = false;  // column left the support: cold start
-            break;
-          }
-          const auto p = static_cast<std::size_t>(it - support.begin());
-          warm.push_back(id < kp ? p : k + p);
-        }
-        if (ok) bo.lp.warm_basis = std::move(warm);
-      }
-      const BpSolution bp = bp_solve(phi_k, meas.values, bo);
-      if (bp.status == LpStatus::kOptimal) {
-        bp_prev_support = support;
-        bp_prev_basis = bp.basis;
-        if (obs::attached()) obs::add_counter("cs.chs.bp_refits");
-        return bp.solution.coefficients;
-      }
-      bp_prev_support.clear();
-      bp_prev_basis.clear();
-      const double scale = std::max(phi_k.frobenius_norm(), 1e-12);
-      return solve_ridge(phi_k, meas.values, 1e-8 * scale * scale);
-    }
+  const auto refit_fit = [&]() -> Vector {
     if (cached) {
-      if (std::optional<Vector> coef = cached->solve(support)) {
+      if (std::optional<Vector> coef = cached->solve(res.support)) {
         cache_cols_reused += cached->reused_columns();
         return *std::move(coef);
       }
     }
-    try {
-      return refit->solve(phi_k, meas.values, refit_ctx).coefficients;
-    } catch (const std::runtime_error&) {
-      const double scale = std::max(phi_k.frobenius_norm(), 1e-12);
-      return solve_ridge(phi_k, meas.values, 1e-8 * scale * scale);
+    const Matrix a = phi_k();
+    if (bp_refit) {
+      const std::size_t k = res.support.size();
+      BasisPursuitOptions bo;
+      bo.lp.cancel = opts.cancel;
+      // Basis ids run over +phi_k, then -phi_k, then the row artificials.
+      for (std::size_t& id : bp_prev_basis) {
+        if (id >= bp_prev_k) {
+          id += (id < 2 * bp_prev_k ? 1 : 2) * (k - bp_prev_k);
+        }
+      }
+      bo.lp.warm_basis = std::move(bp_prev_basis);
+      const BpSolution bp = bp_solve(a, meas.values, bo);
+      bp_prev_basis.clear();
+      if (bp.status == LpStatus::kOptimal) {
+        bp_prev_k = k;
+        bp_prev_basis = bp.basis;
+        if (obs::attached()) obs::add_counter("cs.chs.bp_refits");
+        return bp.solution.coefficients;
+      }
+    } else {
+      try {
+        return refit->solve(a, meas.values, refit_ctx).coefficients;
+      } catch (const std::runtime_error&) {
+        // rank-deficient: the ridge fit below
+      }
+    }
+    const double scale = std::max(a.frobenius_norm(), 1e-12);
+    return solve_ridge(a, meas.values, 1e-8 * scale * scale);
+  };
+  // (f) the measurement-domain residual y - sum_t coef[t] phi~_t.
+  Vector coef_on_support;
+  Vector residual = meas.values;  // e_r = x_S initially
+  const auto refit_residual = [&] {
+    coef_on_support = refit_fit();
+    residual.assign(meas.values.begin(), meas.values.end());
+    for (std::size_t t = 0; t < res.support.size(); ++t) {
+      linalg::axpy(-coef_on_support[t], phi_col(t), residual);
     }
   };
 
-  ChsResult res;
-  res.coefficients.assign(n, 0.0);
-  Vector residual = meas.values;  // e_r = x_S initially
   const double xs_norm = std::max(norm2(meas.values), 1e-300);
   double prev_res_norm = norm2(residual);
-  std::vector<bool> in_support(n, false);
-  Vector coef_on_support;
   // Per-solve buffers: an iteration's analyze, candidate pick and
   // rollback copies reuse them instead of allocating.
   Vector alpha_r(n);
   std::vector<std::size_t> candidates;
-  std::vector<std::size_t> prev_support;
   Vector prev_coeffs;
+  Vector prev_residual;
 
   // Warm start: seed the support with the caller's prior (deduplicated,
-  // clipped to the budget) and refit once so the first iteration already
-  // works on the warm residual.
+  // clipped to the budget, sorted by index as a batch is) and refit once
+  // so the first iteration already works on the warm residual.
   if (!opts.initial_support.empty()) {
     for (std::size_t j : opts.initial_support) {
       if (j >= n) {
         throw std::invalid_argument(
             "chs_reconstruct: initial support index out of range");
       }
-      if (!in_support[j] && res.support.size() < k_budget) {
+      if (!in_support[j] && candidates.size() < k_budget) {
         in_support[j] = true;
-        res.support.push_back(j);
+        candidates.push_back(j);
       }
     }
+    std::sort(candidates.begin(), candidates.end());
+    for (const std::size_t j : candidates) append_atom(j);
     if (!res.support.empty()) {
-      std::sort(res.support.begin(), res.support.end());
-      const Matrix phi_k = view.sampled.gather(res.support);
-      coef_on_support = refit_fit(phi_k, res.support);
-      residual = linalg::subtract(meas.values, phi_k * coef_on_support);
+      refit_residual();
       prev_res_norm = norm2(residual);
     }
   }
@@ -540,49 +552,35 @@ ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
         candidates.push_back(j);
       }
     }
-    const std::size_t room = k_budget - res.support.size();
+    const std::size_t kp = res.support.size();
     const std::size_t take =
-        std::min({candidates.size(), opts.coeffs_per_iter, room});
+        std::min({candidates.size(), opts.coeffs_per_iter, k_budget - kp});
     if (take == 0) break;
     // The batch is the top-`take` set by |alpha_r|, exactly the set a
-    // full sort would keep (see select_batch); the support is re-sorted
-    // by index below, so the order within the batch never matters.
+    // full sort would keep (see select_batch); sorting it by index makes
+    // J's order depend on that set alone, not on select_batch's order.
     select_batch(candidates, alpha_r, take);
+    std::sort(candidates.begin(), candidates.begin() + take);
 
     // (d) grow J (tentatively — rolled back if the batch buys nothing).
-    prev_support.assign(res.support.begin(), res.support.end());
-    prev_coeffs.assign(coef_on_support.begin(), coef_on_support.end());
-    for (std::size_t i = 0; i < take; ++i) {
-      in_support[candidates[i]] = true;
-      res.support.push_back(candidates[i]);
-    }
-    std::sort(res.support.begin(), res.support.end());
+    prev_coeffs.swap(coef_on_support);
+    prev_residual.swap(residual);
+    for (std::size_t i = 0; i < take; ++i) append_atom(candidates[i]);
 
-    // (e) refit on the support via the cache or the registry solver.
-    const Matrix phi_k = view.sampled.gather(res.support);
-    coef_on_support = refit_fit(phi_k, res.support);
-
-    // (f) new measurement-domain residual.
-    const Vector fitted = phi_k * coef_on_support;
-    residual = linalg::subtract(meas.values, fitted);
+    // (e)+(f) refit on the support via the cache or the registry solver.
+    refit_residual();
 
     const double res_norm = norm2(residual);
     if (prev_res_norm - res_norm <
         opts.min_improvement * std::max(prev_res_norm, 1e-300)) {
       // The batch no longer reduces the residual meaningfully: undo it and
       // stop rather than fit sampling noise (Section 4's epsilon_c guard).
-      for (std::size_t i = 0; i < take; ++i) {
-        in_support[candidates[i]] = false;
+      for (std::size_t i = kp; i < res.support.size(); ++i) {
+        in_support[res.support[i]] = false;
       }
-      res.support = prev_support;
-      coef_on_support = prev_coeffs;
-      if (!res.support.empty()) {
-        const Matrix phi_prev = view.sampled.gather(res.support);
-        residual = linalg::subtract(meas.values,
-                                    phi_prev * coef_on_support);
-      } else {
-        residual = meas.values;
-      }
+      res.support.resize(kp);
+      coef_on_support.swap(prev_coeffs);
+      residual.swap(prev_residual);
       break;
     }
     prev_res_norm = res_norm;
@@ -591,8 +589,13 @@ ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
     obs::observe("cs.chs.residual_trajectory", res_norm / xs_norm);
   }
 
+  // J ascending, each coefficient carried with its atom.
   for (std::size_t i = 0; i < res.support.size(); ++i) {
     res.coefficients[res.support[i]] = coef_on_support[i];
+  }
+  std::sort(res.support.begin(), res.support.end());
+  for (std::size_t i = 0; i < res.support.size(); ++i) {
+    coef_on_support[i] = res.coefficients[res.support[i]];
   }
   res.residual_norm = norm2(residual);
   obs::fr_record(obs::FrEvent::kSolverSolve,

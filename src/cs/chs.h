@@ -51,8 +51,11 @@ struct ChsOptions {
   /// (SolverRegistry::global()): "ols" (eq. 11, homogeneous sensors),
   /// "gls" (eq. 12, weighted by the measurement's noise model, which must
   /// then have one entry per measurement), or any registered name.
-  /// "ols" and "gls" refits reuse one incremental factorization across
-  /// iterations (cs::CachedRefit); any other name refits from scratch.
+  /// The solve keeps J in selection order (each batch appended, sorted by
+  /// index within itself) and sorts it once at the end, so every refit's
+  /// support extends the previous one: "ols" and "gls" refits reuse one
+  /// incremental factorization (cs::CachedRefit) and append only each
+  /// batch's columns; any other name refits from scratch.
   /// The rank-deficiency fallback to "ridge" applies regardless of choice.
   std::string refit_solver = "ols";
   /// Significance threshold: a coefficient is eligible when its magnitude

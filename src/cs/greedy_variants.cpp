@@ -75,7 +75,7 @@ Vector least_squares_or_ridge(const Matrix& a_sub,
 // solve pays the MGS ladder seeding cost and reuses almost nothing
 // (~6% slower end to end than the dense path).  IHT's debias refit is
 // one-shot, where seeding is pure overhead.  The cache earns its keep
-// in cs::chs, whose supports grow by sorted insertion.
+// in cs::chs, whose supports grow append-only in selection order.
 
 // One signal's CoSaMP pursuit under greedy_batch.h's Run contract: the
 // sequential solver drives one, the batch drives many, so the two paths

@@ -244,11 +244,17 @@ std::vector<middleware::Reading> NanoCloud::collect_cells(
   for (std::size_t cell : cells) {
     targets.push_back(&nodes_[cell_to_node_[cell]]);
   }
-  const double node_energy_before = total_node_energy_j();
+  // Only the commanded nodes spend energy in a collect.
+  const auto targets_energy_j = [&targets] {
+    double total = 0.0;
+    for (const auto* node : targets) total += node->meter().total_j();
+    return total;
+  };
+  const double node_energy_before = targets_energy_j();
   auto readings = head.collect(targets, config_.sensor,
                                /*sample_index=*/0, rng, &out.stats);
   out.virtual_s += head.last_round_virtual_s();
-  out.node_energy_j += total_node_energy_j() - node_energy_before;
+  out.node_energy_j += targets_energy_j() - node_energy_before;
   out.m_used += readings.size();
   if (obs::attached()) {
     obs::add_counter("hier.nanocloud.nodes_commanded",

@@ -267,25 +267,6 @@ void Basis::Rows::column_into(std::size_t j, std::span<double> out) const {
   }
 }
 
-Matrix Basis::Rows::gather(std::span<const std::size_t> cols) const {
-  require_indices(cols, n_);
-  Matrix out(size(), cols.size());
-  if (inner_.empty()) {
-    for (std::size_t i = 0; i < size(); ++i) {
-      double* dst = out.row(i).data();
-      for (std::size_t t = 0; t < cols.size(); ++t) dst[t] = outer_[i][cols[t]];
-    }
-    return out;
-  }
-  for (std::size_t t = 0; t < cols.size(); ++t) {
-    const auto [jo, jl] = split(cols[t], h_);
-    for (std::size_t i = 0; i < size(); ++i) {
-      out(i, t) = outer_[i][jo] * inner_[i][jl];
-    }
-  }
-  return out;
-}
-
 void Basis::synthesize_into(std::span<const std::size_t> cols,
                             std::span<const double> coef,
                             std::span<double> out) const {

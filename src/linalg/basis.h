@@ -57,7 +57,7 @@ Matrix dct2_basis(std::size_t width, std::size_t height);
 /// inner factor B (N = w h) and holds only those factors: its state is
 /// O(w^2 + h^2), never the N x N matrix.  Each entry
 /// Phi(i h + k, j h + l) is formed as the one product A(i,j) B(k,l) when
-/// it is read, the product dct2_basis stores, so every gather, column and
+/// it is read, the product dct2_basis stores, so every column and
 /// synthesis reads the dense matrix's bits.  A basis built from a bare
 /// matrix carries no factors, whatever that matrix holds, and reads the
 /// matrix: the factorization travels with the basis and is never
@@ -111,9 +111,9 @@ class Basis {
   class Rows;
 
   /// Phi's rows at the grid points `points` (a solve's sampled
-  /// locations), resolved once for the column and gather reads a solve
-  /// repeats.  The result points into this basis, which must outlive it.
-  /// Throws std::out_of_range on a point >= N.
+  /// locations), resolved once for the column reads a solve repeats.
+  /// The result points into this basis, which must outlive it.  Throws
+  /// std::out_of_range on a point >= N.
   Rows rows(std::span<const std::size_t> points) const;
 
   /// The K-term synthesis out = sum_t coef[t] Phi(:, cols[t]), into `out`
@@ -145,10 +145,6 @@ class Basis::Rows {
   /// std::invalid_argument when out.size() != size() and
   /// std::out_of_range on j >= N.
   void column_into(std::size_t j, std::span<double> out) const;
-
-  /// The size() x |cols| matrix Phi(points, cols): CHS's refit matrix
-  /// Phi~_K.  Throws std::out_of_range on an index >= N.
-  Matrix gather(std::span<const std::size_t> cols) const;
 
  private:
   friend class Basis;

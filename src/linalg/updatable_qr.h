@@ -90,11 +90,11 @@ class UpdatableQR {
 /// Least-squares refit cache over the columns of a fixed dictionary.
 ///
 /// Greedy solvers refit against supports that mostly grow monotonically
-/// (OMP appends one atom; CoSaMP/CHS re-sort but share long prefixes).
-/// refit() downdates the factorization to the longest common prefix of
-/// the previous and requested supports and appends only the new tail, so
-/// an OMP-style monotone sequence costs O(m k) per step instead of a
-/// fresh O(m k^2) factorization.
+/// (CHS keeps its support in selection order, so each refit extends the
+/// previous one by a batch).  refit() downdates the factorization to the
+/// longest common prefix of the previous and requested supports and
+/// appends only the new tail, so an append-only sequence costs O(m k)
+/// per new column instead of a fresh O(m k^2) factorization.
 ///
 /// The dictionary is read one column at a time through a ColumnFn, so it
 /// can be a materialized matrix, a structured operator's exact columns,

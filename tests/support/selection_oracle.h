@@ -13,9 +13,9 @@
 
 namespace sensedroid::test_support {
 
-/// The batch a full sort picks, returned ascending by index (CHS re-sorts
-/// the support by index, so only the set matters).  `candidates` must be
-/// strictly ascending, as CHS collects them.
+/// The batch a full sort picks, returned ascending by index (CHS sorts
+/// each batch by index before appending it, so only the set matters).
+/// `candidates` must be strictly ascending, as CHS collects them.
 inline std::vector<std::size_t> oracle_select_batch(
     std::vector<std::size_t> candidates, std::span<const double> alpha,
     std::size_t take) {

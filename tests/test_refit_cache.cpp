@@ -8,7 +8,9 @@
 // and from a factored basis, the two ways CHS's basis view reads them.
 // The fallbacks must still engage: a dependent column leaves the cache
 // for the registry solver and then ridge, and a MAD-screened solve
-// weights by the screened noise model.
+// weights by the screened noise model.  CHS grows its support in
+// selection order, so each refit reuses the whole previous support, and
+// a BP refit warm-starts from the previous one's basis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include "cs/solver.h"
 #include "linalg/basis.h"
 #include "linalg/random.h"
+#include "obs/metrics.h"
 
 namespace sc = sensedroid::cs;
 namespace sl = sensedroid::linalg;
@@ -90,7 +93,9 @@ Vector draw_sigma(Noise noise, std::size_t m, sl::Rng& rng) {
   return s;
 }
 
-// Sorted insertion of `extra` into `support`, as CHS grows J.
+// Sorted insertion of `extra` into `support`: each refit downdates to
+// the prefix below the smallest new index, the general case the cache
+// serves (CHS itself only appends, see ChsRefit below).
 void grow(std::vector<std::size_t>& support,
           const std::vector<std::size_t>& extra) {
   support.insert(support.end(), extra.begin(), extra.end());
@@ -155,8 +160,8 @@ TEST(CachedRefit, MatchesFreshRefitOverSeededSupports) {
     const std::size_t k_max = std::min<std::size_t>(12, m / 2);
     sc::CachedRefit cached(y, sigma, k_max, column);
 
-    // A CHS-like support trajectory: batches of 1-4 new atoms, each
-    // refit, with an occasional rollback of the last batch.
+    // Batches of 1-4 new atoms, each refit, with an occasional rollback
+    // of the last batch.
     std::vector<bool> used(n, false);
     std::vector<std::size_t> support;
     while (support.size() < k_max) {
@@ -323,38 +328,58 @@ void expect_refits_agree(const sc::ChsResult& cached,
   EXPECT_LE(rel_err(cached.reconstruction, fresh.reconstruction), kRelTol);
 }
 
+// Random zone shapes, then the two campaign shapes: solve-heavy's 16x16
+// zone with m = 64 and zones-faulted's 8x8 zone with m = 20 under MAD
+// screening; each draw under every Upsilon kind.
 TEST(CachedRefit, ChsMatchesFreshRefitsInDenseAndOperatorMode) {
   register_fresh_solvers();
-  std::size_t screened = 0;
-  for (std::size_t draw = 0; draw < 240; ++draw) {
+  std::size_t screened = 0, campaign_shapes = 0;
+  for (std::size_t draw = 0; draw < 360; ++draw) {
     SCOPED_TRACE("draw " + std::to_string(draw));
     sl::Rng rng(0xc4500000 + draw);
-    const std::size_t width = 6 + rng.uniform_index(7);   // 6..12
-    const std::size_t height = 6 + rng.uniform_index(5);  // 6..10
-    const std::size_t n = width * height;
-    const std::size_t m = n / 4 + rng.uniform_index(n / 4);
-    const bool spikes = draw % 3 == 0;
+    std::size_t width = 16, height = 16, m = 64;
+    bool mad = draw % 3 == 0;
+    bool spikes = mad;
+    if (draw < 240) {
+      width = 6 + rng.uniform_index(7);   // 6..12
+      height = 6 + rng.uniform_index(5);  // 6..10
+      const std::size_t n = width * height;
+      m = n / 4 + rng.uniform_index(n / 4);
+    } else if (draw >= 300) {
+      width = height = 8;
+      m = 20;
+      mad = true;
+      spikes = draw % 2 == 0;
+    }
+    if (draw >= 240) ++campaign_shapes;
     const sc::Measurement meas =
         draw_measurement(width, height, m, spikes, rng);
 
-    sc::ChsOptions opts;
-    opts.interpolation = sc::Interpolation::kLinear;
-    opts.grid_height = height;
-    if (spikes) opts.mad_threshold = 5.0;
     const Matrix dense = sl::dct2_basis(width, height);
     const sl::Basis factored = sl::dct2_factored(width, height);
-    for (const std::string refit : {"gls", "ols"}) {
-      SCOPED_TRACE(refit);
-      sc::ChsOptions fresh = opts;
-      opts.refit_solver = refit;
-      fresh.refit_solver = refit + "_fresh";
-      const sc::ChsResult dense_res = sc::chs_reconstruct(dense, meas, opts);
-      expect_refits_agree(dense_res, sc::chs_reconstruct(dense, meas, fresh));
-      expect_refits_agree(sc::chs_reconstruct(factored, meas, opts),
-                          sc::chs_reconstruct(factored, meas, fresh));
-      if (dense_res.outliers_rejected > 0) ++screened;
+    for (const auto kind :
+         {sc::Interpolation::kLinear, sc::Interpolation::kNearest,
+          sc::Interpolation::kZeroFill}) {
+      SCOPED_TRACE("interpolation " + std::to_string(static_cast<int>(kind)));
+      sc::ChsOptions opts;
+      opts.interpolation = kind;
+      opts.grid_height = height;
+      if (mad) opts.mad_threshold = 5.0;
+      for (const std::string refit : {"gls", "ols"}) {
+        SCOPED_TRACE(refit);
+        sc::ChsOptions fresh = opts;
+        opts.refit_solver = refit;
+        fresh.refit_solver = refit + "_fresh";
+        const sc::ChsResult dense_res = sc::chs_reconstruct(dense, meas, opts);
+        expect_refits_agree(dense_res,
+                            sc::chs_reconstruct(dense, meas, fresh));
+        expect_refits_agree(sc::chs_reconstruct(factored, meas, opts),
+                            sc::chs_reconstruct(factored, meas, fresh));
+        if (dense_res.outliers_rejected > 0) ++screened;
+      }
     }
   }
+  EXPECT_EQ(campaign_shapes, 120u);
   // Enough screened solves that a GLS refit weighted by the unscreened
   // noise model (one sigma per *unscreened* reading) would have shown.
   EXPECT_GE(screened, 60u);
@@ -389,6 +414,86 @@ TEST(CachedRefit, ChsWithDuplicateAtomsFallsBackLikeTheFreshPath) {
       EXPECT_LE(rel_err(got.coefficients, want.coefficients), kRelTol);
     }
   }
+}
+
+// ------------------------------------------------ refits in selection order
+
+// CHS keeps J in selection order, so every refit extends the previous
+// support and the cache reuses all of it: cs.chs.refit_cols_reused sums
+// the accepted support sizes the refits start from.  A solve cut at t
+// iterations is the full solve's first t, so its support is the one
+// iteration t's refit starts from.
+TEST(ChsRefit, EveryRefitReusesTheWholePreviousSupport) {
+  constexpr std::size_t side = 16, m = 64;
+  const sl::Basis basis = sl::dct2_factored(side, side);
+  std::size_t multi_batch = 0;
+  for (std::size_t draw = 0; draw < 6; ++draw) {
+    SCOPED_TRACE("draw " + std::to_string(draw));
+    sl::Rng rng(0x5e1ec700 + draw);
+    const sc::Measurement meas = draw_measurement(side, side, m, false, rng);
+    sc::ChsOptions opts;
+    opts.interpolation = sc::Interpolation::kLinear;
+    opts.grid_height = side;
+    opts.refit_solver = "gls";
+
+    sensedroid::obs::MetricsRegistry reg;
+    sensedroid::obs::attach_registry(&reg);
+    const sc::ChsResult full = sc::chs_reconstruct(basis, meas, opts);
+    sensedroid::obs::attach_registry(nullptr);
+
+    double want = 0.0;
+    for (std::size_t t = 1; t < full.iterations; ++t) {
+      sc::ChsOptions cut = opts;
+      cut.max_iterations = t;
+      want += static_cast<double>(
+          sc::chs_reconstruct(basis, meas, cut).support.size());
+    }
+    EXPECT_EQ(reg.counter_value("cs.chs.refit_cols_reused"), want);
+    if (full.iterations > 2) ++multi_batch;
+  }
+  EXPECT_GE(multi_batch, 4u);
+}
+
+// The BP refit warm-starts each LP from the previous refit's optimal
+// basis, remapped into the grown support.  Every optimal refit of a
+// solve after its first one must therefore be accepted as a warm start:
+// per solve, warm_starts == bp_refits - 1.
+TEST(ChsRefit, BpRefitsWarmStartAfterTheFirstOptimalOne) {
+  constexpr std::size_t side = 8, n = side * side, m = 24;
+  const Matrix dense = sl::dct2_basis(side, side);
+  const sl::Basis basis = sl::dct2_factored(side, side);
+  double warm_total = 0.0, refit_total = 0.0;
+  std::size_t optimal_solves = 0;
+  for (std::size_t draw = 0; draw < 50; ++draw) {
+    SCOPED_TRACE("draw " + std::to_string(draw));
+    sl::Rng rng(0xb9000000 + draw);
+    Vector alpha(n, 0.0);
+    for (const std::size_t j : rng.sample_without_replacement(n, 3)) {
+      alpha[j] = rng.uniform(1.0, 3.0) * (rng.bernoulli(0.5) ? 1.0 : -1.0);
+    }
+    const sc::Measurement meas = sc::measure_exact(
+        dense * alpha, sc::MeasurementPlan::random(n, m, rng));
+    sc::ChsOptions opts;
+    opts.refit_solver = "bp";
+    opts.interpolation = sc::Interpolation::kZeroFill;
+    opts.coeffs_per_iter = 2;
+    opts.residual_tol = 0.0;
+    opts.min_improvement = 0.0;
+
+    sensedroid::obs::MetricsRegistry reg;
+    sensedroid::obs::attach_registry(&reg);
+    sc::chs_reconstruct(basis, meas, opts);
+    sensedroid::obs::attach_registry(nullptr);
+    const double refits = reg.counter_value("cs.chs.bp_refits");
+    const double warm = reg.counter_value("cs.simplex.warm_starts");
+    EXPECT_EQ(warm, std::max(refits - 1.0, 0.0));
+    warm_total += warm;
+    refit_total += refits;
+    if (refits > 0.0) ++optimal_solves;
+  }
+  EXPECT_EQ(warm_total, refit_total - static_cast<double>(optimal_solves));
+  EXPECT_GE(optimal_solves, 40u);
+  EXPECT_GE(warm_total, 50.0);
 }
 
 }  // namespace

@@ -108,8 +108,8 @@ TEST(SeparableAnalyze, FactoredMatchesDenseSweep) {
   EXPECT_GT(column, 0u);
 }
 
-// The full gather of a factored basis is dct2_basis, bit for bit, from
-// a store of 8 (w^2 + h^2) bytes (8 w^2 on a square grid).
+// Every column of a factored basis at every point is dct2_basis's, bit
+// for bit, from a store of 8 (w^2 + h^2) bytes (8 w^2 on a square grid).
 TEST(SeparableAnalyze, DenseMatchesDct2BasisBitForBit) {
   for (const auto& [w, h] : std::vector<std::pair<std::size_t, std::size_t>>{
            {1, 1}, {1, 7}, {7, 1}, {8, 8}, {16, 16}, {12, 10}, {5, 9}}) {
@@ -117,8 +117,12 @@ TEST(SeparableAnalyze, DenseMatchesDct2BasisBitForBit) {
     const Matrix dense = sl::dct2_basis(w, h);
     std::vector<std::size_t> all(w * h);
     for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-    EXPECT_TRUE(same_bits(basis.rows(all).gather(all).data(), dense.data()))
-        << w << "x" << h;
+    const sl::Basis::Rows sampled = basis.rows(all);
+    Vector col(all.size());
+    for (const std::size_t j : all) {
+      sampled.column_into(j, col);
+      EXPECT_TRUE(same_bits(col, dense.col(j))) << w << "x" << h << " " << j;
+    }
     EXPECT_EQ(basis.size(), w * h);
     EXPECT_TRUE(basis.dense().empty());
     EXPECT_EQ(basis.outer(), sl::dct_basis(w));
@@ -131,9 +135,9 @@ TEST(SeparableAnalyze, DenseMatchesDct2BasisBitForBit) {
 
 // 1200 seeded grids, square and not, power-of-two sizes and not: every
 // matrix-free read of the factored basis holds dct2_basis's bits.  The
-// gather and the sampled columns are its entries at random rows and
-// columns; the synthesis oracle accumulates the dense columns in support
-// order, as CHS's synthesis did when it read the dense matrix.
+// sampled columns are its entries at random rows and columns; the
+// synthesis oracle accumulates the dense columns in support order, as
+// CHS's synthesis did when it read the dense matrix.
 TEST(SeparableAnalyze, MatrixFreeReadsMatchDct2BasisBitForBit) {
   constexpr int kDraws = 1200;
   sl::Rng rng(20261019);
@@ -163,19 +167,14 @@ TEST(SeparableAnalyze, MatrixFreeReadsMatchDct2BasisBitForBit) {
         n, 1 + rng.uniform_index(std::min<std::size_t>(n, 24)));
 
     const sl::Basis::Rows sampled = basis.rows(rows);
-    const Matrix got = sampled.gather(cols);
-    Matrix want(rows.size(), cols.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      for (std::size_t t = 0; t < cols.size(); ++t) {
-        want(i, t) = dense(rows[i], cols[t]);
-      }
-    }
-    ASSERT_TRUE(same_bits(got.data(), want.data()));
-
     Vector col(rows.size(), std::numeric_limits<double>::quiet_NaN());
-    for (std::size_t t = 0; t < cols.size(); ++t) {
-      sampled.column_into(cols[t], col);
-      ASSERT_TRUE(same_bits(col, want.col(t)));
+    Vector want(rows.size());
+    for (const std::size_t j : cols) {
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        want[i] = dense(rows[i], j);
+      }
+      sampled.column_into(j, col);
+      ASSERT_TRUE(same_bits(col, want));
     }
 
     const Vector coef = rng.gaussian_vector(cols.size());
@@ -214,7 +213,6 @@ TEST(SeparableAnalyze, ValidatesFactorsAndSizes) {
   EXPECT_THROW(sampled.column_into(2, short_col), std::invalid_argument);
   EXPECT_THROW(sampled.column_into(12, col), std::out_of_range);
   EXPECT_THROW(basis.rows(bad), std::out_of_range);
-  EXPECT_THROW(sampled.gather(bad), std::out_of_range);
   const Vector coef(3, 1.0);
   EXPECT_THROW(basis.synthesize_into(rows, coef, small), std::invalid_argument);
   EXPECT_THROW(basis.synthesize_into(rows, Vector(2), out),

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -668,28 +669,34 @@ CampaignOutcome run_campaign(std::size_t workers, bool with_server) {
     so::TelemetryServer server({&reg, &trace, &engine, "live"});
     std::thread scraper;
     std::atomic<bool> done{false};
+    // The rounds start once the first scrape has come back, so a short
+    // campaign cannot finish before the scraper thread first runs.
+    std::promise<void> first_scrape;
     if (with_server) {
       EXPECT_TRUE(server.start());
       scraper = std::thread([&] {
         const char* endpoints[] = {"/metrics", "/healthz", "/report",
                                    "/spans", "/flight"};
         std::size_t i = 0;
-        while (!done.load(std::memory_order_acquire)) {
+        do {
           const std::string resp =
               http_get(server.port(), endpoints[i++ % 5]);
-          ++out.scrapes;
+          if (out.scrapes++ == 0) first_scrape.set_value();
           if (resp.find("HTTP/1.0 200") == std::string::npos &&
               resp.find("HTTP/1.0 503") == std::string::npos) {
             ++out.scrape_failures;
           }
-        }
+        } while (!done.load(std::memory_order_acquire));
       });
+    } else {
+      first_scrape.set_value();
     }
 
     sl::Rng rng(7);
     sh::LocalCloud cloud(truth, grid, cfg, rng);
     se::ThreadPool pool(workers);
     se::ParallelCampaignRunner runner(cloud, pool);
+    first_scrape.get_future().wait();
     for (int round = 0; round < 3; ++round) {
       runner.run_round_uniform(20, rng);
     }
