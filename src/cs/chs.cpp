@@ -400,8 +400,8 @@ ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
   // the undo path drops exactly the last batch, so every refit's support
   // extends the previous one.  J is sorted by index once, after the loop.
   // Phi~'s columns on J sit in the same order in one per-solve store,
-  // column t at phi_cols[t m, (t + 1) m), for the residual and the
-  // fallback refits.
+  // column t at phi_cols[t m, (t + 1) m), written once by append_atom
+  // and read by every refit and the residual.
   std::vector<bool> in_support(n, false);
   Vector phi_cols(k_budget * m);
   const auto phi_col = [&](std::size_t t) {
@@ -420,21 +420,20 @@ ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
         .transpose();
   };
 
-  // "ols" and "gls" refits go through the incremental factorization
-  // cache, which reuses the whole previous support and appends only the
-  // new batch (O(mk) per new column).  The noise model is fixed for the
-  // whole solve (under MAD screening it is the screened one), so GLS
-  // whitens y and the row weights once, here.  Custom registry solvers
-  // and "bp" keep their own path; a numerically dependent support falls
-  // back to the registry solver, then ridge.
+  // "ols" and "gls" refits go through the incremental factorization,
+  // which factors the store's columns past the ones it already holds:
+  // only the new batch (O(mk) per new column), or none after an undo.
+  // The noise model is fixed for the whole solve (under MAD screening it
+  // is the screened one), so GLS whitens y and the row weights once,
+  // here.  Custom registry solvers and "bp" keep their own path; a
+  // numerically dependent support falls back to the registry solver,
+  // then ridge.
   std::optional<CachedRefit> cached;
   if (refit->name() == "ols" || refit->name() == "gls") {
     cached.emplace(meas.values,
                    refit->name() == "gls" ? refit_ctx.noise_stddev
                                           : std::span<const double>{},
-                   k_budget, [&view](std::size_t j, std::span<double> out) {
-                     view.sampled.column_into(j, out);
-                   });
+                   k_budget);
   }
   std::size_t cache_cols_reused = 0;
   // BP refits thread the previous refit's optimal basis into the next
@@ -451,7 +450,8 @@ ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
   std::vector<std::size_t> bp_prev_basis;
   const auto refit_fit = [&]() -> Vector {
     if (cached) {
-      if (std::optional<Vector> coef = cached->solve(res.support)) {
+      if (std::optional<Vector> coef = cached->solve(
+              std::span(phi_cols).first(res.support.size() * m))) {
         cache_cols_reused += cached->reused_columns();
         return *std::move(coef);
       }

@@ -54,8 +54,9 @@ struct ChsOptions {
   /// The solve keeps J in selection order (each batch appended, sorted by
   /// index within itself) and sorts it once at the end, so every refit's
   /// support extends the previous one: "ols" and "gls" refits reuse one
-  /// incremental factorization (cs::CachedRefit) and append only each
-  /// batch's columns; any other name refits from scratch.
+  /// incremental factorization (cs::CachedRefit), which factors only each
+  /// batch's columns, read from the solve's one store of J's columns;
+  /// any other name refits from scratch.
   /// The rank-deficiency fallback to "ridge" applies regardless of choice.
   std::string refit_solver = "ols";
   /// Significance threshold: a coefficient is eligible when its magnitude

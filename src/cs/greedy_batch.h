@@ -1,6 +1,6 @@
 // The one lockstep batch driver behind omp_solve_batch (above the Gram
-// gate), cosamp_solve_batch and iht_solve_batch.  Internal to cs: only
-// the solver sources include it.
+// gate) and cosamp_solve_batch.  Internal to cs: only the solver sources
+// include it.
 #pragma once
 
 #include <algorithm>

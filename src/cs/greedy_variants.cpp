@@ -67,15 +67,15 @@ Vector least_squares_or_ridge(const Matrix& a_sub,
   }
 }
 
-// The incremental factorization cache (linalg::SupportQrCache) is
-// deliberately NOT used here.  Measured in the Fig. 4 regime (n=256,
-// m=30, k=10): CoSaMP's supports churn wholesale between iterations —
-// the merged candidate set saturates at M columns and the pruned set
-// shares too short a sorted prefix with its predecessor — so every
-// solve pays the MGS ladder seeding cost and reuses almost nothing
-// (~6% slower end to end than the dense path).  IHT's debias refit is
-// one-shot, where seeding is pure overhead.  The cache earns its keep
-// in cs::chs, whose supports grow append-only in selection order.
+// The incremental factorization (linalg::UpdatableQR) is deliberately
+// NOT used here.  Measured in the Fig. 4 regime (n=256, m=30, k=10):
+// CoSaMP's supports churn wholesale between iterations — the merged
+// candidate set saturates at M columns and the pruned set shares too
+// short a sorted prefix with its predecessor — so every solve pays the
+// ladder seeding cost and reuses almost nothing (~6% slower end to end
+// than the dense path).  IHT's debias refit is one-shot, where seeding
+// is pure overhead.  The incremental path earns its keep in cs::chs,
+// whose supports grow append-only in selection order.
 
 // One signal's CoSaMP pursuit under greedy_batch.h's Run contract: the
 // sequential solver drives one, the batch drives many, so the two paths
@@ -177,9 +177,10 @@ struct CosampRun {
   }
 };
 
-// One signal's IHT pursuit, same needs_sweep()/step() contract as
-// CosampRun; needs_sweep() additionally refreshes the residual `r` from
-// the current iterate (IHT's gradient is taken at the thresholded x).
+// One signal's IHT pursuit, driven by iht_solve with the same
+// needs_sweep()/step() contract as CosampRun; needs_sweep() additionally
+// refreshes the residual `r` from the current iterate (IHT's gradient is
+// taken at the thresholded x).
 struct IhtRun {
   const Matrix& a;
   std::span<const double> y;
@@ -313,15 +314,6 @@ SparseSolution iht_solve(const Matrix& a, std::span<const double> y,
     run.step(grad);
   }
   return run.finish();
-}
-
-std::vector<SparseSolution> iht_solve_batch(const Matrix& a,
-                                            std::span<const Vector> ys,
-                                            const IhtOptions& opts) {
-  std::vector<IhtRun> runs;
-  runs.reserve(ys.size());
-  for (const Vector& y : ys) runs.emplace_back(a, y, opts);
-  return greedy_batch(a, runs);
 }
 
 }  // namespace sensedroid::cs

@@ -50,9 +50,9 @@ struct IhtOptions {
   /// iteration), the guaranteed-stable choice.
   double step = 0.0;
   /// Debias the final iterate: refit the coefficients on the selected
-  /// support by least squares (through the shared incremental
-  /// factorization cache).  Hard thresholding biases magnitudes toward
-  /// zero; the refit removes that bias without changing the support.
+  /// support by one dense least-squares solve.  Hard thresholding biases
+  /// magnitudes toward zero; the refit removes that bias without
+  /// changing the support.
   bool debias = true;
   /// Polled once per iteration; best-so-far solution is returned.
   const CancelToken* cancel = nullptr;
@@ -62,17 +62,16 @@ struct IhtOptions {
 SparseSolution iht_solve(const Matrix& a, std::span<const double> y,
                          const IhtOptions& opts);
 
-/// Batch variants: ys.size() signals against one dictionary, run in
+/// Batch CoSaMP: ys.size() signals against one dictionary, run in
 /// lockstep so each round's correlation sweeps become a single blocked
 /// A^T R product (Matrix::transpose_times_block, bit-identical per
 /// signal to the sequential sweep).  Everything downstream of the sweep
-/// is the per-signal sequential code, so results equal the sequential
-/// solvers' bit for bit.  One solution per signal, in order.
+/// is the per-signal sequential code, so results equal cosamp_solve's
+/// bit for bit.  One solution per signal, in order.  IHT has no batch
+/// form: at the Fig. 4 shape its lockstep ran slower than a loop of
+/// iht_solve, which is what SparseSolver::solve_batch runs for it.
 std::vector<SparseSolution> cosamp_solve_batch(const Matrix& a,
                                                std::span<const Vector> ys,
                                                const CosampOptions& opts);
-std::vector<SparseSolution> iht_solve_batch(const Matrix& a,
-                                            std::span<const Vector> ys,
-                                            const IhtOptions& opts);
 
 }  // namespace sensedroid::cs

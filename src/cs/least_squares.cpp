@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 
 #include "linalg/decomposition.h"
 
@@ -64,29 +63,49 @@ Vector solve_gls_diag(const Matrix& a, std::span<const double> y,
   return solve_ols(wa, wy);
 }
 
-CachedRefit::CachedRefit(std::span<const double> y,
-                         std::span<const double> stddev, std::size_t capacity,
-                         linalg::SupportQrCache::ColumnFn column)
-    : weights_(gls_row_weights(stddev)),
-      wy_(y.begin(), y.end()),
-      column_(std::move(column)),
-      cache_(y.size(), capacity,
-             [this](std::size_t j, std::span<double> out) {
-               column_(j, out);
-               for (std::size_t i = 0; i < weights_.size(); ++i) {
-                 out[i] *= weights_[i];
-               }
-             }) {
+namespace {
+// The GLS row weights for y, checked first: whitening y reads one per row.
+Vector refit_weights(std::span<const double> y,
+                     std::span<const double> stddev) {
   if (!stddev.empty() && stddev.size() != y.size()) {
     throw std::invalid_argument("CachedRefit: noise model size mismatch");
   }
-  for (std::size_t i = 0; i < weights_.size(); ++i) wy_[i] *= weights_[i];
+  return gls_row_weights(stddev);
 }
 
-std::optional<Vector> CachedRefit::solve(
-    std::span<const std::size_t> support) {
-  if (!cache_.refit(support)) return std::nullopt;
-  return cache_.solve(wy_);
+Vector whiten(std::span<const double> y, std::span<const double> weights) {
+  Vector wy(y.begin(), y.end());
+  for (std::size_t i = 0; i < weights.size(); ++i) wy[i] *= weights[i];
+  return wy;
+}
+}  // namespace
+
+CachedRefit::CachedRefit(std::span<const double> y,
+                         std::span<const double> stddev, std::size_t capacity)
+    : weights_(refit_weights(y, stddev)),
+      qr_(y.size(), whiten(y, weights_), capacity),
+      col_buf_(y.size()) {}
+
+std::optional<Vector> CachedRefit::solve(std::span<const double> cols) {
+  const std::size_t m = qr_.rows();
+  const std::size_t k = m == 0 ? 0 : cols.size() / m;
+  if (k * m != cols.size()) {
+    throw std::invalid_argument("CachedRefit::solve: ragged column store");
+  }
+  while (qr_.size() > k) qr_.remove_last();
+  reused_ = qr_.size();
+  for (std::size_t t = reused_; t < k; ++t) {
+    std::span<const double> col = cols.subspan(t * m, m);
+    if (!weights_.empty()) {
+      for (std::size_t i = 0; i < m; ++i) col_buf_[i] = col[i] * weights_[i];
+      col = col_buf_;
+    }
+    if (!qr_.append_column(col)) {
+      qr_.clear();
+      return std::nullopt;
+    }
+  }
+  return qr_.solve();
 }
 
 Vector solve_ridge(const Matrix& a, std::span<const double> y,

@@ -41,41 +41,42 @@ Vector solve_gls_diag(const Matrix& a, std::span<const double> y,
 Vector gls_row_weights(std::span<const double> stddev);
 
 /// The cached refit of CHS step (e): OLS (eq. 11), or diagonal GLS
-/// (eq. 12) as OLS on whitened rows, over supports drawn from one fixed
-/// M x N dictionary.  The row weights and the whitened y are formed once
-/// at construction.  Each support column is whitened as the incremental
-/// factorization (linalg::SupportQrCache) appends it, so no whitened copy
-/// of the dictionary exists, and successive supports that share a prefix
-/// reuse its factors.  Agrees with solve_gls_diag / solve_ols to rounding
-/// (a prefix-updated CGS2 QR rounds differently from Householder).  Not
-/// copyable: the cache reads the weights through `this`.
+/// (eq. 12) as OLS on whitened rows, over a support that only grows or
+/// drops its newest columns.  The row weights and the whitened y are
+/// formed once at construction; the incremental factorization
+/// (linalg::UpdatableQR) holds Q^T y for that y.  Each solve() receives
+/// the support's columns from the caller's column-major store and
+/// factors only those past the ones already factored, whitening each on
+/// the way in, so no whitened copy of the dictionary exists.  Agrees
+/// with solve_gls_diag / solve_ols to rounding (an incrementally updated
+/// CGS2 QR rounds differently from Householder).
 class CachedRefit {
  public:
-  /// `column` supplies dictionary column j (length y.size()).  An empty
-  /// `stddev` selects OLS; otherwise it holds one stddev per row and
-  /// selects GLS weighted by gls_row_weights(stddev).  `capacity` columns
-  /// are preallocated.  Throws std::invalid_argument when stddev is
-  /// neither empty nor one per row.
+  /// An empty `stddev` selects OLS; otherwise it holds one stddev per
+  /// row of y and selects GLS weighted by gls_row_weights(stddev).
+  /// `capacity` columns are preallocated.  Throws std::invalid_argument
+  /// when stddev is neither empty nor one per row.
   CachedRefit(std::span<const double> y, std::span<const double> stddev,
-              std::size_t capacity, linalg::SupportQrCache::ColumnFn column);
-  CachedRefit(const CachedRefit&) = delete;
-  CachedRefit& operator=(const CachedRefit&) = delete;
+              std::size_t capacity);
 
-  /// Least-squares coefficients on `support`, in its order; nullopt when
-  /// one of its columns is numerically dependent on the ones before it,
-  /// and the caller falls back to a dense solve.
-  std::optional<Vector> solve(std::span<const std::size_t> support);
+  /// Least-squares coefficients on the k columns `cols` holds, column t
+  /// at cols[t m, (t + 1) m) with m = y.size(): the first k columns of
+  /// an append-only store, whose columns already factored must not have
+  /// changed.  Fewer columns than factored truncates to them.  nullopt
+  /// when a column is numerically dependent on the ones before it (the
+  /// factorization is cleared, and the caller falls back to a dense
+  /// solve).  Throws std::invalid_argument when cols.size() is not a
+  /// multiple of m.
+  std::optional<Vector> solve(std::span<const double> cols);
 
-  /// Columns the last solve() reused from the previous factorization.
-  std::size_t reused_columns() const noexcept {
-    return cache_.reused_columns();
-  }
+  /// Columns already factored when the last solve() started.
+  std::size_t reused_columns() const noexcept { return reused_; }
 
  private:
   Vector weights_;  // empty: OLS
-  Vector wy_;       // y, whitened
-  linalg::SupportQrCache::ColumnFn column_;
-  linalg::SupportQrCache cache_;
+  linalg::UpdatableQR qr_;
+  Vector col_buf_;  // one whitened column
+  std::size_t reused_ = 0;
 };
 
 /// Ridge-regularized least squares (A^T A + lambda I)^{-1} A^T y; the

@@ -27,22 +27,6 @@ using linalg::norm2;
 
 namespace {
 
-// Four independent chains: the scalar reduction is latency-bound at the
-// m = 30 Fig. 4 regime.  Fixed reassociation, deterministic.
-double dot4(const double* __restrict a, const double* __restrict b,
-            std::size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += a[i] * b[i];
-    s1 += a[i + 1] * b[i + 1];
-    s2 += a[i + 2] * b[i + 2];
-    s3 += a[i + 3] * b[i + 3];
-  }
-  for (; i < n; ++i) s0 += a[i] * b[i];
-  return (s0 + s1) + (s2 + s3);
-}
-
 // argmax_j corr[j]^2 * sel[j] in three branch-free-ish passes: a
 // vectorizable scale (sel[j] is the reciprocal *squared* column norm,
 // or an exact 0.0 for picked / zero-norm columns, whose product is then
@@ -466,8 +450,9 @@ void record_omp_solve(const SparseSolution& sol, double y_norm) {
 // new Q column q is orthonormal to the previous ones, the exact
 // least-squares residual updates in place as r -= (q.y) q, so each
 // greedy iteration is one correlation pass + O(mk) bookkeeping instead
-// of a from-scratch O(mk^2) QR.  Coefficients are recovered once in
-// finish() by a single back-substitution against the maintained Q^T y.
+// of a from-scratch O(mk^2) QR.  The factorization holds Q^T y, so
+// q.y is its newest entry, and coefficients are recovered once in
+// finish() by a single back-substitution.
 struct OmpRun {
   const Matrix& a;
   std::span<const double> y;
@@ -478,7 +463,6 @@ struct OmpRun {
   Vector r;
   Vector col_buf;
   linalg::UpdatableQR qr;
-  Vector qty;
   double y_norm;
   double prev_res;
   double res;
@@ -493,12 +477,11 @@ struct OmpRun {
         k_max(omp_k_max(opts, a.rows(), a.cols())),
         r(y.begin(), y.end()),
         col_buf(a.rows()),
-        qr(a.rows(), k_max),
+        qr(a.rows(), y, k_max),
         y_norm(norm2(y)),
         prev_res(y_norm),
         res(y_norm) {
     sol.coefficients.assign(a.cols(), 0.0);
-    qty.reserve(k_max);
   }
 
   bool needs_sweep() {
@@ -530,8 +513,7 @@ struct OmpRun {
     ++sol.iterations;
 
     const auto q = qr.q_column(qr.size() - 1);
-    const double qy = dot4(q.data(), y.data(), q.size());
-    qty.push_back(qy);
+    const double qy = qr.qty().back();
     axpy(-qy, q, r);
     res = norm2(r);
     obs::fr_record(obs::FrEvent::kSolverIteration,
@@ -545,7 +527,6 @@ struct OmpRun {
       // atom was rejected.
       axpy(qy, q, r);
       qr.remove_last();
-      qty.pop_back();
       sol.support.pop_back();
       res = norm2(r);
       done = true;
@@ -555,7 +536,7 @@ struct OmpRun {
   }
 
   SparseSolution finish() {
-    const Vector coef_on_support = qr.solve_from_qty(qty);
+    const Vector coef_on_support = qr.solve();
     for (std::size_t i = 0; i < sol.support.size(); ++i) {
       sol.coefficients[sol.support[i]] = coef_on_support[i];
     }

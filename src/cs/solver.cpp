@@ -109,12 +109,6 @@ class IhtSolver final : public SparseSolver {
     SinkGuard guard(ctx);
     return iht_solve(a, y, k_targeted_options<IhtOptions>(ctx));
   }
-  std::vector<SparseSolution> solve_batch(
-      const Matrix& a, std::span<const Vector> ys,
-      const SolveContext& ctx) const override {
-    SinkGuard guard(ctx);
-    return iht_solve_batch(a, ys, k_targeted_options<IhtOptions>(ctx));
-  }
 };
 
 class BasisPursuitSolver final : public SparseSolver {

@@ -96,10 +96,10 @@ class SparseSolver {
 
   /// Solves many signals against one dictionary.  The base implementation
   /// loops solve(), so every registered solver gets the batch signature
-  /// for free; the greedy solvers (omp/cosamp/iht) override it.  Their
-  /// overrides run one lockstep driver over the sequential solvers' own
-  /// per-signal pursuits, sharing each round's correlation sweeps through
-  /// one blocked A^T R product, so they return the sequential loop's
+  /// for free; omp and cosamp override it.  Their overrides run one
+  /// lockstep driver over the sequential solvers' own per-signal
+  /// pursuits, sharing each round's correlation sweeps through one
+  /// blocked A^T R product, so they return the sequential loop's
   /// results bit for bit.  The one exception is omp below the Gram
   /// budget, which solves in coefficient space from a shared A^T A:
   /// identical supports up to near-exact correlation ties, coefficients

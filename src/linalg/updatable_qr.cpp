@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
@@ -149,13 +148,18 @@ void subtract_all(const double* __restrict q, std::size_t k, std::size_t n,
 }
 }  // namespace
 
-UpdatableQR::UpdatableQR(std::size_t rows, std::size_t capacity)
-    : rows_(rows) {
+UpdatableQR::UpdatableQR(std::size_t rows, std::span<const double> y,
+                         std::size_t capacity)
+    : rows_(rows), y_(y.begin(), y.end()) {
+  if (y.size() != rows_) {
+    throw std::invalid_argument("UpdatableQR: y length mismatch");
+  }
   // Pre-size to capacity so the hot append path never touches vector
   // bookkeeping; size_ alone tracks the live prefix.
   const std::size_t cap = std::min(capacity, rows);
   q_.resize(cap * rows_);
   r_.resize(tri_offset(cap));
+  qty_.resize(cap);
   work_.resize(rows_);
   h_.resize(cap);
 }
@@ -168,6 +172,7 @@ bool UpdatableQR::append_column(std::span<const double> col, double dep_tol) {
   if ((size_ + 1) * rows_ > q_.size()) {
     q_.resize((size_ + 1) * rows_);
     r_.resize(tri_offset(size_ + 1));
+    qty_.resize(size_ + 1);
     h_.resize(size_ + 1);
   }
 
@@ -203,6 +208,7 @@ bool UpdatableQR::append_column(std::span<const double> col, double dep_tol) {
   double* qk = q_.data() + size_ * rows_;
   const double inv = 1.0 / w_norm;
   for (std::size_t i = 0; i < rows_; ++i) qk[i] = w[i] * inv;
+  qty_[size_] = dot4(qk, y_.data(), rows_);
   ++size_;
   return true;
 }
@@ -214,22 +220,8 @@ void UpdatableQR::remove_last() {
   --size_;  // storage beyond the live prefix is inert until re-appended
 }
 
-Vector UpdatableQR::solve(std::span<const double> y) const {
-  if (y.size() != rows_) {
-    throw std::invalid_argument("UpdatableQR::solve: length mismatch");
-  }
-  Vector qty(size_);
-  for (std::size_t j = 0; j < size_; ++j) {
-    qty[j] = dot4(q_.data() + j * rows_, y.data(), rows_);
-  }
-  return solve_from_qty(qty);
-}
-
-Vector UpdatableQR::solve_from_qty(std::span<const double> qty) const {
-  if (qty.size() != size_) {
-    throw std::invalid_argument("UpdatableQR::solve_from_qty: length");
-  }
-  Vector x(qty.begin(), qty.end());
+Vector UpdatableQR::solve() const {
+  Vector x(qty_.data(), qty_.data() + size_);
   for (std::size_t ii = size_; ii-- > 0;) {
     for (std::size_t j = ii + 1; j < size_; ++j) {
       x[ii] -= r_[tri_offset(j) + ii] * x[j];
@@ -247,42 +239,6 @@ std::span<const double> UpdatableQR::q_column(std::size_t j) const {
 double UpdatableQR::r(std::size_t i, std::size_t j) const {
   if (j >= size_ || i > j) throw std::out_of_range("UpdatableQR::r");
   return r_[tri_offset(j) + i];
-}
-
-SupportQrCache::SupportQrCache(std::size_t rows, std::size_t capacity,
-                               ColumnFn column)
-    : column_(std::move(column)), qr_(rows, capacity), col_buf_(rows) {
-  cols_.reserve(std::min(rows, capacity));
-}
-
-std::size_t SupportQrCache::common_prefix(
-    std::span<const std::size_t> support) const {
-  std::size_t lcp = 0;
-  while (lcp < cols_.size() && lcp < support.size() &&
-         cols_[lcp] == support[lcp]) {
-    ++lcp;
-  }
-  return lcp;
-}
-
-bool SupportQrCache::refit(std::span<const std::size_t> support,
-                           double dep_tol) {
-  const std::size_t lcp = common_prefix(support);
-  while (qr_.size() > lcp) {
-    qr_.remove_last();
-    cols_.pop_back();
-  }
-  reused_ = lcp;
-  for (std::size_t i = lcp; i < support.size(); ++i) {
-    column_(support[i], col_buf_);
-    if (!qr_.append_column(col_buf_, dep_tol)) {
-      qr_.clear();
-      cols_.clear();
-      return false;
-    }
-    cols_.push_back(support[i]);
-  }
-  return true;
 }
 
 }  // namespace sensedroid::linalg

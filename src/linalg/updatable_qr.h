@@ -3,12 +3,14 @@
 // The greedy CS solvers (eq. 13) extend their support by one atom per
 // iteration and occasionally retract the last pick.  Refactorizing from
 // scratch makes each refit O(m k^2) and the whole solve O(m k^3); this
-// engine keeps an explicit thin Q (m x k, orthonormal columns) and a
-// packed upper-triangular R so that
+// engine keeps an explicit thin Q (m x k, orthonormal columns), a packed
+// upper-triangular R and Q^T y for the right-hand side y it was built
+// with, so that
 //
-//   append_column  — orthogonalize one new column against Q:   O(m k)
+//   append_column  — orthogonalize one new column against Q, then one
+//                    dot q_k . y for the new Q^T y entry:    O(m k)
 //   remove_last    — drop the last column of Q and R:          O(1)
-//   solve          — Q^T y then back-substitution:             O(m k + k^2)
+//   solve          — back-substitution on the held Q^T y:      O(k^2)
 //
 // Orthogonalization is classical Gram-Schmidt with selective
 // reorthogonalization (CGS2, the DGKS "twice is enough" criterion): each
@@ -26,11 +28,11 @@
 //    untouched) when the new column is numerically dependent on the
 //    current ones; callers fall back to a dense/ridge path.
 //  - remove_last is exact only because the *last* column leaves: R stays
-//    upper-triangular by construction, no Givens downdating needed.
+//    upper-triangular by construction, no Givens downdating needed, and
+//    the last Q^T y entry leaves with it.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -40,9 +42,12 @@ namespace sensedroid::linalg {
 
 class UpdatableQR {
  public:
-  /// Factorization over columns of length `rows`; `capacity` columns are
-  /// preallocated so appends up to that count never allocate.
-  explicit UpdatableQR(std::size_t rows, std::size_t capacity = 0);
+  /// Factorization over columns of length `rows` against the right-hand
+  /// side `y` (copied; length rows, else std::invalid_argument);
+  /// `capacity` columns are preallocated so appends up to that count
+  /// never allocate.
+  UpdatableQR(std::size_t rows, std::span<const double> y,
+              std::size_t capacity = 0);
 
   std::size_t rows() const noexcept { return rows_; }
 
@@ -63,13 +68,14 @@ class UpdatableQR {
   /// Resets to the empty factorization, keeping allocated capacity.
   void clear() noexcept { size_ = 0; }
 
-  /// Least-squares coefficients x minimizing ||A x - y|| against the
-  /// cached factors, where A is the appended column set.  O(mk + k^2).
-  Vector solve(std::span<const double> y) const;
+  /// Q^T y, one entry per factored column: entry j is q_j . y, formed
+  /// once when column j was appended.
+  std::span<const double> qty() const noexcept { return {qty_.data(), size_}; }
 
-  /// Back-substitution only: solves R x = qty where qty = Q^T y has
-  /// already been formed (the OMP loop maintains it incrementally).
-  Vector solve_from_qty(std::span<const double> qty) const;
+  /// Least-squares coefficients x minimizing ||A x - y|| against the
+  /// cached factors, where A is the appended column set: back-substitution
+  /// on the held Q^T y.  O(k^2).
+  Vector solve() const;
 
   /// j-th orthonormal basis column of Q (valid until the next append or
   /// remove_last).
@@ -83,62 +89,10 @@ class UpdatableQR {
   std::size_t size_ = 0;
   std::vector<double> q_;     // column-major, size_ columns of length rows_
   std::vector<double> r_;     // packed upper triangle: col j at j*(j+1)/2
+  std::vector<double> y_;     // the right-hand side
+  std::vector<double> qty_;   // Q^T y, entry j formed when column j joined
   std::vector<double> work_;  // scratch column for orthogonalization
   std::vector<double> h_;     // scratch projections (one round of Q^T w)
-};
-
-/// Least-squares refit cache over the columns of a fixed dictionary.
-///
-/// Greedy solvers refit against supports that mostly grow monotonically
-/// (CHS keeps its support in selection order, so each refit extends the
-/// previous one by a batch).  refit() downdates the factorization to the
-/// longest common prefix of the previous and requested supports and
-/// appends only the new tail, so an append-only sequence costs O(m k)
-/// per new column instead of a fresh O(m k^2) factorization.
-///
-/// The dictionary is read one column at a time through a ColumnFn, so it
-/// can be a materialized matrix, a structured operator's exact columns,
-/// or row-scaled (whitened) columns that are never stored as a matrix.
-///
-/// Bypass conditions — refit() returns false and clears the cache when a
-/// requested column is numerically dependent on the columns before it;
-/// callers then use the dense (Householder QR / ridge) path for that
-/// support.
-class SupportQrCache {
- public:
-  /// Writes dictionary column j (one entry per row) into `out`.
-  using ColumnFn = std::function<void(std::size_t j, std::span<double> out)>;
-
-  /// Cache over the columns `column` supplies, each of length `rows`;
-  /// `capacity` columns are preallocated (more grow the factors).
-  SupportQrCache(std::size_t rows, std::size_t capacity, ColumnFn column);
-
-  /// Makes the factorization match exactly the given columns of the
-  /// dictionary, reusing the longest common prefix with the previous
-  /// call.  False = numerically dependent column encountered (cache
-  /// cleared; use the dense fallback).
-  bool refit(std::span<const std::size_t> support, double dep_tol = 1e-12);
-
-  /// Length of the longest common prefix between `support` and the
-  /// currently factored column list — what refit() would reuse.  Callers
-  /// with wildly changing supports (CoSaMP's merged candidate sets) use
-  /// this to decide whether the incremental path beats a dense refactor.
-  std::size_t common_prefix(std::span<const std::size_t> support) const;
-
-  /// Coefficients for the support passed to the last successful refit().
-  Vector solve(std::span<const double> y) const { return qr_.solve(y); }
-
-  const UpdatableQR& qr() const noexcept { return qr_; }
-
-  /// Columns reused (prefix length) by the last refit — instrumentation.
-  std::size_t reused_columns() const noexcept { return reused_; }
-
- private:
-  ColumnFn column_;
-  UpdatableQR qr_;
-  std::vector<std::size_t> cols_;
-  Vector col_buf_;
-  std::size_t reused_ = 0;
 };
 
 }  // namespace sensedroid::linalg

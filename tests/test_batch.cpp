@@ -252,8 +252,9 @@ void expect_batch_matches_sequential(
 TEST(SolveBatch, EveryRegistrySolverMatchesSequentialLoop) {
   // The acceptance bar from the batch contract: identical supports and
   // iteration counts, coefficients equal to the one-signal-at-a-time
-  // loop.  Solvers without an override run the base loop, and cosamp and
-  // iht run their sequential pursuit behind a blocked sweep: bit for bit.
+  // loop.  Solvers without an override (iht among them) run the base
+  // loop, and cosamp runs its sequential pursuit behind a blocked sweep:
+  // bit for bit.
   // omp's Gram path reorders the arithmetic: within 1e-12.
   const auto a = random_matrix(40, 32, 90);
   sl::Rng rng(91);
@@ -277,7 +278,7 @@ TEST(SolveBatch, FreeFunctionBatchesMatchSequential) {
   // straddle the Gram gate (bcount large enough to amortize A^T A).
   // n = 2100 puts A^T A (35.3 MB) over the 32 MiB Gram budget, so omp's
   // batch runs omp_solve's own pursuit in lockstep: bit for bit, like
-  // cosamp and iht at every shape.
+  // cosamp at every shape.
   struct Shape {
     std::size_t n;
     std::vector<std::size_t> bcounts;
@@ -306,13 +307,6 @@ TEST(SolveBatch, FreeFunctionBatchesMatchSequential) {
       for (const auto& y : ys) seq.push_back(sc::cosamp_solve(a, y, co));
       expect_batch_matches_sequential(sc::cosamp_solve_batch(a, ys, co), seq,
                                       0.0, "cosamp");
-
-      sc::IhtOptions io;
-      io.sparsity = 6;
-      seq.clear();
-      for (const auto& y : ys) seq.push_back(sc::iht_solve(a, y, io));
-      expect_batch_matches_sequential(sc::iht_solve_batch(a, ys, io), seq,
-                                      0.0, "iht");
     }
   }
 }

@@ -1,16 +1,17 @@
 // Cached vs fresh step-(e) refit.  CHS refits OLS and diagonal GLS
 // through one incremental factorization (cs::CachedRefit): the row
-// weights and the whitened y are formed once per solve, and each support
-// column is whitened as the cache appends it.  A prefix-updated CGS2 QR
-// rounds differently from a fresh Householder QR, so the contract is a
-// tolerance: coefficients within 1e-10 relative of solve_gls_diag /
-// solve_ols over seeded supports, with columns read from a dense matrix
-// and from a factored basis, the two ways CHS's basis view reads them.
-// The fallbacks must still engage: a dependent column leaves the cache
-// for the registry solver and then ridge, and a MAD-screened solve
-// weights by the screened noise model.  CHS grows its support in
-// selection order, so each refit reuses the whole previous support, and
-// a BP refit warm-starts from the previous one's basis.
+// weights and the whitened y are formed once per solve, and each refit
+// receives the support's columns from CHS's per-solve column store and
+// whitens only the columns it has not factored yet.  An incrementally
+// updated CGS2 QR rounds differently from a fresh Householder QR, so the
+// contract is a tolerance: coefficients within 1e-10 relative of
+// solve_gls_diag / solve_ols over seeded supports, with columns read
+// from a dense matrix and from a factored basis, the two ways CHS's
+// basis view reads them.  The fallbacks must still engage: a dependent
+// column leaves the cache for the registry solver and then ridge, and a
+// MAD-screened solve weights by the screened noise model.  CHS grows its
+// support in selection order, so each refit reuses the whole previous
+// support, and a BP refit warm-starts from the previous one's basis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -64,6 +65,17 @@ Vector fresh_refit(const Matrix& phi_rows,
                         : sc::solve_gls_diag(phi_k, y, stddev);
 }
 
+// The columns of `support` in order, column t at [t m, (t + 1) m).
+Vector column_store(const Matrix& phi_rows,
+                    const std::vector<std::size_t>& support) {
+  const std::size_t m = phi_rows.rows();
+  Vector store(support.size() * m);
+  for (std::size_t t = 0; t < support.size(); ++t) {
+    phi_rows.col_into(support[t], std::span<double>(store).subspan(t * m, m));
+  }
+  return store;
+}
+
 // How a draw's noise model looks.
 enum class Noise { kOls, kPositive, kSomeZero, kAllZero, kTiers };
 
@@ -91,15 +103,6 @@ Vector draw_sigma(Noise noise, std::size_t m, sl::Rng& rng) {
     }
   }
   return s;
-}
-
-// Sorted insertion of `extra` into `support`: each refit downdates to
-// the prefix below the smallest new index, the general case the cache
-// serves (CHS itself only appends, see ChsRefit below).
-void grow(std::vector<std::size_t>& support,
-          const std::vector<std::size_t>& extra) {
-  support.insert(support.end(), extra.begin(), extra.end());
-  std::sort(support.begin(), support.end());
 }
 
 TEST(CachedRefit, MatchesFreshRefitOverSeededSupports) {
@@ -146,24 +149,29 @@ TEST(CachedRefit, MatchesFreshRefitOverSeededSupports) {
     const auto noise = static_cast<Noise>(draw / 2 % 5);
     const Vector sigma = draw_sigma(noise, m, rng);
 
-    sl::SupportQrCache::ColumnFn column;
-    if (factored_mode) {
-      column = [sampled = factored->rows(locations)](std::size_t j,
-                                                     std::span<double> out) {
-        sampled.column_into(j, out);
-      };
-    } else {
-      column = [&phi_rows](std::size_t j, std::span<double> out) {
-        phi_rows.col_into(j, out);
-      };
-    }
     const std::size_t k_max = std::min<std::size_t>(12, m / 2);
-    sc::CachedRefit cached(y, sigma, k_max, column);
+    sc::CachedRefit cached(y, sigma, k_max);
+
+    // The support in selection order, its columns at store[t m, (t + 1) m)
+    // as CHS's per-solve store holds them.
+    std::optional<sl::Basis::Rows> sampled;
+    if (factored_mode) sampled.emplace(factored->rows(locations));
+    Vector store(k_max * m);
+    std::vector<std::size_t> support;
+    const auto append = [&](std::size_t j) {
+      const std::span<double> out =
+          std::span<double>(store).subspan(support.size() * m, m);
+      if (sampled) {
+        sampled->column_into(j, out);
+      } else {
+        phi_rows.col_into(j, out);
+      }
+      support.push_back(j);
+    };
 
     // Batches of 1-4 new atoms, each refit, with an occasional rollback
     // of the last batch.
     std::vector<bool> used(n, false);
-    std::vector<std::size_t> support;
     while (support.size() < k_max) {
       const std::size_t take =
           std::min(k_max - support.size(), 1 + rng.uniform_index(4));
@@ -176,13 +184,14 @@ TEST(CachedRefit, MatchesFreshRefitOverSeededSupports) {
         }
       }
       const std::vector<std::size_t> before = support;
-      grow(support, extra);
+      for (const std::size_t j : extra) append(j);
       std::vector<const std::vector<std::size_t>*> refits = {&support};
       if (!before.empty() && rng.bernoulli(0.3)) {
-        refits.push_back(&before);  // the batch rolled back
+        refits.push_back(&before);  // the batch rolled back: a shorter prefix
       }
       for (const std::vector<std::size_t>* s : refits) {
-        const std::optional<Vector> got = cached.solve(*s);
+        const std::optional<Vector> got =
+            cached.solve(std::span<const double>(store).first(s->size() * m));
         ASSERT_TRUE(got.has_value());
         const double err = rel_err(*got, fresh_refit(phi_rows, *s, y, sigma));
         EXPECT_LE(err, kRelTol);
@@ -210,16 +219,14 @@ TEST(CachedRefit, AllZeroNoiseIsTheOlsPath) {
   std::sort(locations.begin(), locations.end());
   const Matrix phi_rows = basis.select_rows(locations);
   const Vector y = rng.gaussian_vector(20);
-  const auto column = [&phi_rows](std::size_t j, std::span<double> out) {
-    phi_rows.col_into(j, out);
-  };
   const Vector zeros(20, 0.0);
   EXPECT_TRUE(sc::gls_row_weights(zeros).empty());
-  sc::CachedRefit gls(y, zeros, 8, column);
-  sc::CachedRefit ols(y, {}, 8, column);
+  sc::CachedRefit gls(y, zeros, 8);
+  sc::CachedRefit ols(y, {}, 8);
   const std::vector<std::size_t> support = {0, 3, 9, 17, 30};
-  const Vector a = *gls.solve(support);
-  const Vector b = *ols.solve(support);
+  const Vector store = column_store(phi_rows, support);
+  const Vector a = *gls.solve(store);
+  const Vector b = *ols.solve(store);
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)));
   EXPECT_LE(rel_err(a, sc::solve_ols(phi_rows.select_cols(support), y)),
@@ -233,8 +240,7 @@ TEST(CachedRefit, ZeroNoiseClampsToTheSmallestPositiveSigma) {
   EXPECT_EQ(w[1], 1.0 / 0.5);  // exact sensor: the strongest finite weight
   EXPECT_EQ(w[2], 1.0 / 2.0);
   EXPECT_EQ(w[3], 1.0 / 0.5);
-  EXPECT_THROW(sc::CachedRefit(Vector(3, 1.0), Vector(2, 1.0), 2,
-                               [](std::size_t, std::span<double>) {}),
+  EXPECT_THROW(sc::CachedRefit(Vector(3, 1.0), Vector(2, 1.0), 2),
                std::invalid_argument);
 }
 
@@ -248,16 +254,14 @@ TEST(CachedRefit, DependentColumnDeclinesAndTheFreshPathFallsToRidge) {
   }
   const Vector y = rng.gaussian_vector(16);
   const Vector sigma = draw_sigma(Noise::kSomeZero, 16, rng);
-  sc::CachedRefit cached(y, sigma, 6, [&](std::size_t j, std::span<double> out) {
-    phi_rows.col_into(j, out);
-  });
+  sc::CachedRefit cached(y, sigma, 6);
   const std::vector<std::size_t> dependent = {0, 1, 4};
-  EXPECT_FALSE(cached.solve(dependent).has_value());
+  EXPECT_FALSE(cached.solve(column_store(phi_rows, dependent)).has_value());
   // The registry solver declines too, which is what sends CHS to ridge.
   EXPECT_THROW(fresh_refit(phi_rows, dependent, y, sigma), std::runtime_error);
   // The cache recovers on the next well-posed support.
   const std::vector<std::size_t> good = {0, 1, 2, 5};
-  const std::optional<Vector> got = cached.solve(good);
+  const std::optional<Vector> got = cached.solve(column_store(phi_rows, good));
   ASSERT_TRUE(got.has_value());
   EXPECT_LE(rel_err(*got, fresh_refit(phi_rows, good, y, sigma)), kRelTol);
 }
