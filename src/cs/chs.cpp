@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "cs/basis_pursuit.h"
 #include "cs/least_squares.h"
@@ -19,49 +21,58 @@ using linalg::norm2;
 
 namespace {
 
-// Four grid points' worth of doubles.  The kernel below is written with
-// GCC vector extensions, which GCC vectorizes at every optimization
-// level.  Left to the auto-vectorizer, the same insertion as a plain
-// 8-lane loop came out vectorized at one of -O2 and -O3 and scalar at the
-// other, which of the two depending on the loop's shape, and the scalar
-// build ran slower than a per-point scan with branches.
-typedef double Lanes __attribute__((vector_size(32)));
-constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(double);
-constexpr std::size_t kHalves = 2;  // Lanes per block of grid points
+// The kernel below is written with GCC vector extensions, which GCC
+// vectorizes at every optimization level.  Left to the auto-vectorizer,
+// the same insertion as a plain 8-lane loop came out vectorized at one of
+// -O2 and -O3 and scalar at the other, which of the two depending on the
+// loop's shape, and the scalar build ran slower than a per-point scan
+// with branches.
+constexpr std::size_t kHalves = 2;  // vectors per block of grid points
 
 // For each grid point g of a column-stacked height x (n/height) grid,
-// the Slots nearest samples (sample s sits at si[s], sj[s]), found by
+// the Slots nearest samples (sample s sits at locations[s]), found by
 // insertion in sample order: a sample walks the slots from the nearest,
 // swapping with every slot whose distance it is strictly below.  Each
-// grid point is one lane and each swap a select, so the scan takes no
-// data-dependent branch; a sample no nearer than the last slot passes
-// through unswapped.  Calls finish(g, nd2, ns) once per grid point with
-// its squared distances in slot order (1e300 in slots no sample reached)
-// and their sample indices, held as doubles.
-template <std::size_t Slots, class Finish>
-void nearest_samples(const std::vector<double>& si,
-                     const std::vector<double>& sj, std::size_t n,
-                     std::size_t height, Finish&& finish) {
+// grid point is one lane of a 32-byte vector of T and each swap a
+// select, so the scan takes no data-dependent branch; a sample no nearer
+// than the last slot passes through unswapped.  Coordinates, squared
+// distances and sample indices are integers, held in T exactly when the
+// caller's guard says they fit, and kFar, the distance of a slot no
+// sample reached, is above every real one.  Calls finish(g, nd2, ns)
+// once per grid point with its squared distances in slot order as
+// doubles (1e300 in slots no sample reached) and their sample indices.
+template <class T, std::size_t Slots, class Finish>
+void nearest_samples_on(std::span<const std::size_t> locations,
+                        std::size_t n, std::size_t height, Finish& finish) {
+  typedef T Lanes __attribute__((vector_size(32)));
+  constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(T);
   constexpr std::size_t kBlock = kLanes * kHalves;
+  constexpr T kFar = std::is_floating_point_v<T>
+                         ? static_cast<T>(1e300)
+                         : std::numeric_limits<T>::max();
+  const std::size_t m = locations.size();
+  std::vector<T> si(m), sj(m);
+  for (std::size_t s = 0; s < m; ++s) {
+    si[s] = static_cast<T>(locations[s] % height);
+    sj[s] = static_cast<T>(locations[s] / height);
+  }
   for (std::size_t base = 0; base < n; base += kBlock) {
-    // Tail lanes past n scan points off the grid; their results are dropped.
-    Lanes gi[kHalves], gj[kHalves];
+    // Tail lanes past n repeat the last grid point, which keeps their
+    // distances in range; their results are dropped.
+    Lanes gi[kHalves] = {}, gj[kHalves] = {};
     for (std::size_t h = 0; h < kHalves; ++h) {
       for (std::size_t l = 0; l < kLanes; ++l) {
-        const std::size_t g = base + h * kLanes + l;
-        gi[h][l] = static_cast<double>(g % height);
-        gj[h][l] = static_cast<double>(g / height);
+        const std::size_t g = std::min(base + h * kLanes + l, n - 1);
+        gi[h][l] = static_cast<T>(g % height);
+        gj[h][l] = static_cast<T>(g / height);
       }
     }
-    Lanes nd2[Slots][kHalves], ns[Slots][kHalves];
+    Lanes nd2[Slots][kHalves] = {}, ns[Slots][kHalves] = {};
     for (std::size_t r = 0; r < Slots; ++r) {
-      for (std::size_t h = 0; h < kHalves; ++h) {
-        nd2[r][h] = Lanes{} + 1e300;
-        ns[r][h] = Lanes{};
-      }
+      for (std::size_t h = 0; h < kHalves; ++h) nd2[r][h] += kFar;
     }
-    for (std::size_t s = 0; s < si.size(); ++s) {
-      const double index = static_cast<double>(s);
+    for (std::size_t s = 0; s < m; ++s) {
+      const T index = static_cast<T>(s);
       for (std::size_t h = 0; h < kHalves; ++h) {
         const Lanes di = si[s] - gi[h];
         const Lanes dj = sj[s] - gj[h];
@@ -80,13 +91,31 @@ void nearest_samples(const std::vector<double>& si,
       }
     }
     for (std::size_t l = 0; l < kBlock && base + l < n; ++l) {
-      double lane_d2[Slots], lane_s[Slots];
+      double lane_d2[Slots];
+      std::size_t lane_s[Slots];
       for (std::size_t r = 0; r < Slots; ++r) {
-        lane_d2[r] = nd2[r][l / kLanes][l % kLanes];
-        lane_s[r] = ns[r][l / kLanes][l % kLanes];
+        const T d2 = nd2[r][l / kLanes][l % kLanes];
+        lane_d2[r] = d2 == kFar ? 1e300 : static_cast<double>(d2);
+        lane_s[r] = static_cast<std::size_t>(ns[r][l / kLanes][l % kLanes]);
       }
       finish(base + l, lane_d2, lane_s);
     }
+  }
+}
+
+// nearest_samples_on over int16 lanes, 16 grid points per vector, when
+// every squared distance on the grid and every sample index is below
+// INT16_MAX (every zone up to 128 x 128), else over doubles, 4 per
+// vector.  Both compute the same integers, so they find the same slots.
+template <std::size_t Slots, class Finish>
+void nearest_samples(std::span<const std::size_t> locations, std::size_t n,
+                     std::size_t height, Finish&& finish) {
+  constexpr std::size_t kNarrow = std::numeric_limits<std::int16_t>::max();
+  const std::size_t di = height - 1, dj = n / height - 1;
+  if (di * di + dj * dj < kNarrow && locations.size() <= kNarrow) {
+    nearest_samples_on<std::int16_t, Slots>(locations, n, height, finish);
+  } else {
+    nearest_samples_on<double, Slots>(locations, n, height, finish);
   }
 }
 
@@ -156,35 +185,30 @@ Upsilon::Upsilon(std::span<const std::size_t> locations, std::size_t n,
     return;
   }
 
-  // 2-D: sample coordinates once, then one scan over the samples per
-  // block of grid points.  Coordinates are integers, so every d2 is exact.
-  std::vector<double> si(m), sj(m);
-  for (std::size_t s = 0; s < m; ++s) {
-    si[s] = static_cast<double>(locations[s] % height);
-    sj[s] = static_cast<double>(locations[s] / height);
-  }
+  // 2-D: one scan over the samples per block of grid points.
   if (kind == Interpolation::kNearest) {
     // The Euclidean-nearest sample: the 1-slot insertion is the strict
     // first minimum, so ties keep the earlier sample.
-    nearest_samples<1>(si, sj, n, height,
-                       [&](std::size_t g, const double*, const double* ns) {
-                         sample_[kSlots * g] = static_cast<std::size_t>(ns[0]);
+    nearest_samples<1>(locations, n, height,
+                       [&](std::size_t g, const double*,
+                           const std::size_t* ns) {
+                         sample_[kSlots * g] = ns[0];
                        });
     return;
   }
   wsum_.assign(n, 0.0);
   nearest_samples<kSlots>(
-      si, sj, n, height,
-      [&](std::size_t g, const double* nd2, const double* ns) {
+      locations, n, height,
+      [&](std::size_t g, const double* nd2, const std::size_t* ns) {
         std::size_t* slot = &sample_[kSlots * g];
         if (nd2[0] <= 1e-12) {
-          slot[0] = static_cast<std::size_t>(ns[0]);  // exactly on a sample
+          slot[0] = ns[0];  // exactly on a sample
           return;
         }
         double wsum = 0.0;
         for (std::size_t r = 0; r < kSlots && nd2[r] < 1e300; ++r) {
           const double w = 1.0 / nd2[r];  // inverse squared distance
-          slot[r] = static_cast<std::size_t>(ns[r]);
+          slot[r] = ns[r];
           weight_[kSlots * g + r] = w;
           wsum += w;
         }
@@ -253,6 +277,51 @@ void select_batch(std::span<std::size_t> candidates,
   // keeps depends on its input order, so restore that order and sort.
   std::sort(candidates.begin(), candidates.end());
   std::sort(candidates.begin(), candidates.end(), by_magnitude);
+}
+
+std::size_t pick_batch(std::span<const double> alpha,
+                       std::span<const std::uint8_t> in_support,
+                       double significance, std::size_t want,
+                       std::vector<std::size_t>& batch) {
+  // batch[0, kept): the largest |alpha| off the support, descending.  A
+  // later atom gets in only when strictly larger than an entry, so equal
+  // magnitudes stay in index order; a NaN never gets in.
+  const std::size_t cap = want + 1;
+  batch.resize(cap);
+  std::size_t kept = 0;
+  double last = 0.0;  // |alpha| of batch[cap - 1] once the buffer is full
+  const auto mag = [&](std::size_t i) { return std::abs(alpha[batch[i]]); };
+  for (std::size_t j = 0; j < alpha.size(); ++j) {
+    if (in_support[j]) continue;
+    const double v = std::abs(alpha[j]);
+    if (kept == cap ? !(v > last) : std::isnan(v)) continue;
+    std::size_t i = kept < cap ? kept++ : cap - 1;
+    for (; i > 0 && mag(i - 1) < v; --i) batch[i] = batch[i - 1];
+    batch[i] = j;
+    if (kept == cap) last = mag(cap - 1);
+  }
+  const double max_mag = kept > 0 ? mag(0) : 0.0;
+  if (max_mag == 0.0) return 0;  // residual orthogonal to every new atom
+  // Eligible entries are a prefix of the buffer.  Its count is exact when
+  // the prefix stops inside the buffer: an atom outside is no larger than
+  // the last entry.  A full eligible buffer means more than `want`.
+  const double cut = significance * max_mag;
+  std::size_t eligible = 0;
+  while (eligible < kept && mag(eligible) >= cut) ++eligible;
+  const std::size_t take = std::min(eligible, want);
+  if (take == 0) return 0;
+  if (take < eligible && mag(take - 1) == mag(take)) {
+    // A tie straddles the boundary: which of the tied atoms the full sort
+    // keeps depends on its whole input, so rebuild that input.
+    batch.clear();
+    for (std::size_t j = 0; j < alpha.size(); ++j) {
+      if (!in_support[j] && std::abs(alpha[j]) >= cut) batch.push_back(j);
+    }
+    select_batch(batch, alpha, take);
+  }
+  // Else the top `take` are strictly above the rest: the full sort's set.
+  std::sort(batch.begin(), batch.begin() + take);
+  return take;
 }
 
 Vector interpolate_to_grid(std::span<const double> values,
@@ -402,7 +471,7 @@ ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
   // Phi~'s columns on J sit in the same order in one per-solve store,
   // column t at phi_cols[t m, (t + 1) m), written once by append_atom
   // and read by every refit and the residual.
-  std::vector<bool> in_support(n, false);
+  std::vector<std::uint8_t> in_support(n, 0);
   Vector phi_cols(k_budget * m);
   const auto phi_col = [&](std::size_t t) {
     return std::span<const double>(phi_cols).subspan(t * m, m);
@@ -410,7 +479,7 @@ ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
   const auto append_atom = [&](std::size_t j) {
     view.sampled.column_into(
         j, std::span<double>(phi_cols).subspan(res.support.size() * m, m));
-    in_support[j] = true;
+    in_support[j] = 1;
     res.support.push_back(j);
   };
   // The M x K refit matrix Phi~_K, built only for the refits that take one.
@@ -448,14 +517,7 @@ ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
       refit->name() == "bp" || refit->name() == "basis_pursuit";
   std::size_t bp_prev_k = 0;
   std::vector<std::size_t> bp_prev_basis;
-  const auto refit_fit = [&]() -> Vector {
-    if (cached) {
-      if (std::optional<Vector> coef = cached->solve(
-              std::span(phi_cols).first(res.support.size() * m))) {
-        cache_cols_reused += cached->reused_columns();
-        return *std::move(coef);
-      }
-    }
+  const auto fresh_fit = [&]() -> Vector {
     const Matrix a = phi_k();
     if (bp_refit) {
       const std::size_t k = res.support.size();
@@ -486,24 +548,34 @@ ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
     const double scale = std::max(a.frobenius_norm(), 1e-12);
     return solve_ridge(a, meas.values, 1e-8 * scale * scale);
   };
+  // (e) the refit into coef_on_support[0, |J|), a per-solve buffer in
+  // J's selection order, through the cache or else the fresh fit; then
   // (f) the measurement-domain residual y - sum_t coef[t] phi~_t.
-  Vector coef_on_support;
+  // prev_coeffs holds the coefficients before the last batch.
+  Vector coef_on_support(k_budget);
+  Vector prev_coeffs(k_budget);
   Vector residual = meas.values;  // e_r = x_S initially
   const auto refit_residual = [&] {
-    coef_on_support = refit_fit();
+    const std::size_t k = res.support.size();
+    const std::span<double> coef = std::span(coef_on_support).first(k);
+    if (cached && cached->solve(std::span(phi_cols).first(k * m), coef)) {
+      cache_cols_reused += cached->reused_columns();
+    } else {
+      const Vector fit = fresh_fit();
+      std::copy(fit.begin(), fit.end(), coef.begin());
+    }
     residual.assign(meas.values.begin(), meas.values.end());
-    for (std::size_t t = 0; t < res.support.size(); ++t) {
-      linalg::axpy(-coef_on_support[t], phi_col(t), residual);
+    for (std::size_t t = 0; t < k; ++t) {
+      linalg::axpy(-coef[t], phi_col(t), residual);
     }
   };
 
   const double xs_norm = std::max(norm2(meas.values), 1e-300);
   double prev_res_norm = norm2(residual);
-  // Per-solve buffers: an iteration's analyze, candidate pick and
-  // rollback copies reuse them instead of allocating.
+  // Per-solve buffers: an iteration's analyze, batch pick and rollback
+  // copies reuse them instead of allocating.
   Vector alpha_r(n);
   std::vector<std::size_t> candidates;
-  Vector prev_coeffs;
   Vector prev_residual;
 
   // Warm start: seed the support with the caller's prior (deduplicated,
@@ -516,7 +588,7 @@ ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
             "chs_reconstruct: initial support index out of range");
       }
       if (!in_support[j] && candidates.size() < k_budget) {
-        in_support[j] = true;
+        in_support[j] = 1;
         candidates.push_back(j);
       }
     }
@@ -538,29 +610,14 @@ ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
     // view comments above.
     view.analyze(residual, upsilon, alpha_r);
 
-    // (c) pick significant, not-yet-selected coefficients.
-    double max_mag = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!in_support[j]) max_mag = std::max(max_mag, std::abs(alpha_r[j]));
-    }
-    if (max_mag == 0.0) break;  // residual orthogonal to every new atom
-
-    candidates.clear();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!in_support[j] &&
-          std::abs(alpha_r[j]) >= opts.significance * max_mag) {
-        candidates.push_back(j);
-      }
-    }
+    // (c) pick significant, not-yet-selected coefficients: the top-`take`
+    // set by |alpha_r|, exactly the set a full sort would keep, sorted by
+    // index so that J's order depends on that set alone.
     const std::size_t kp = res.support.size();
     const std::size_t take =
-        std::min({candidates.size(), opts.coeffs_per_iter, k_budget - kp});
+        pick_batch(alpha_r, in_support, opts.significance,
+                   std::min(opts.coeffs_per_iter, k_budget - kp), candidates);
     if (take == 0) break;
-    // The batch is the top-`take` set by |alpha_r|, exactly the set a
-    // full sort would keep (see select_batch); sorting it by index makes
-    // J's order depend on that set alone, not on select_batch's order.
-    select_batch(candidates, alpha_r, take);
-    std::sort(candidates.begin(), candidates.begin() + take);
 
     // (d) grow J (tentatively — rolled back if the batch buys nothing).
     prev_coeffs.swap(coef_on_support);
@@ -576,7 +633,7 @@ ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
       // The batch no longer reduces the residual meaningfully: undo it and
       // stop rather than fit sampling noise (Section 4's epsilon_c guard).
       for (std::size_t i = kp; i < res.support.size(); ++i) {
-        in_support[res.support[i]] = false;
+        in_support[res.support[i]] = 0;
       }
       res.support.resize(kp);
       coef_on_support.swap(prev_coeffs);
@@ -616,7 +673,9 @@ ChsResult chs_core(const linalg::Basis& basis, const Measurement& meas,
 
   // Step 4: x_hat = Phi_K alpha_K.
   res.reconstruction.resize(n);
-  basis.synthesize_into(res.support, coef_on_support, res.reconstruction);
+  basis.synthesize_into(res.support,
+                        std::span(coef_on_support).first(res.support.size()),
+                        res.reconstruction);
   return res;
 }
 

@@ -159,7 +159,23 @@ class Upsilon {
   std::vector<double> wsum_;  // 2-D kLinear: sum of g's weights
 };
 
-/// Step (c)'s batch choice.  `candidates` are distinct indices into
+/// Step (c)'s batch choice: of the atoms j with in_support[j] == 0, the
+/// `want` largest by |alpha[j]| among those whose |alpha[j]| is at least
+/// `significance` times the largest such |alpha| (a NaN is never the
+/// largest and never eligible).  Writes the batch ascending by index to
+/// batch[0, take) and returns take, the smaller of want and the eligible
+/// count; 0 when no atom is eligible or the largest |alpha| is 0.  The
+/// set is exactly the first `take` of a full std::sort of the ascending
+/// eligible list by descending |alpha|, ties included: one pass keeps
+/// the want + 1 largest, and only when the magnitudes at ranks take and
+/// take + 1 are equal does it rebuild that list for select_batch.  Entries
+/// of `batch` from take on are scratch.
+std::size_t pick_batch(std::span<const double> alpha,
+                       std::span<const std::uint8_t> in_support,
+                       double significance, std::size_t want,
+                       std::vector<std::size_t>& batch);
+
+/// pick_batch's tie path.  `candidates` are distinct indices into
 /// `alpha`, strictly ascending; on return its first `take` entries hold,
 /// in some order, the same set of indices as the first `take` of a full
 /// std::sort of the input by descending |alpha| — ties included, because

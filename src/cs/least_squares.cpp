@@ -86,11 +86,15 @@ CachedRefit::CachedRefit(std::span<const double> y,
       qr_(y.size(), whiten(y, weights_), capacity),
       col_buf_(y.size()) {}
 
-std::optional<Vector> CachedRefit::solve(std::span<const double> cols) {
+bool CachedRefit::solve(std::span<const double> cols,
+                        std::span<double> coef) {
   const std::size_t m = qr_.rows();
   const std::size_t k = m == 0 ? 0 : cols.size() / m;
   if (k * m != cols.size()) {
     throw std::invalid_argument("CachedRefit::solve: ragged column store");
+  }
+  if (coef.size() != k) {
+    throw std::invalid_argument("CachedRefit::solve: coefficient size");
   }
   while (qr_.size() > k) qr_.remove_last();
   reused_ = qr_.size();
@@ -102,10 +106,11 @@ std::optional<Vector> CachedRefit::solve(std::span<const double> cols) {
     }
     if (!qr_.append_column(col)) {
       qr_.clear();
-      return std::nullopt;
+      return false;
     }
   }
-  return qr_.solve();
+  qr_.solve_into(coef);
+  return true;
 }
 
 Vector solve_ridge(const Matrix& a, std::span<const double> y,

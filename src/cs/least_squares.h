@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 
 #include "linalg/matrix.h"
@@ -62,12 +61,13 @@ class CachedRefit {
   /// Least-squares coefficients on the k columns `cols` holds, column t
   /// at cols[t m, (t + 1) m) with m = y.size(): the first k columns of
   /// an append-only store, whose columns already factored must not have
-  /// changed.  Fewer columns than factored truncates to them.  nullopt
-  /// when a column is numerically dependent on the ones before it (the
-  /// factorization is cleared, and the caller falls back to a dense
-  /// solve).  Throws std::invalid_argument when cols.size() is not a
-  /// multiple of m.
-  std::optional<Vector> solve(std::span<const double> cols);
+  /// changed.  Fewer columns than factored truncates to them.  Writes the
+  /// k coefficients to `coef` and returns true; false, with `coef`
+  /// unspecified, when a column is numerically dependent on the ones
+  /// before it (the factorization is cleared, and the caller falls back
+  /// to a dense solve).  Throws std::invalid_argument when cols.size() is
+  /// not a multiple of m or coef.size() is not k.
+  bool solve(std::span<const double> cols, std::span<double> coef);
 
   /// Columns already factored when the last solve() started.
   std::size_t reused_columns() const noexcept { return reused_; }

@@ -221,14 +221,22 @@ void UpdatableQR::remove_last() {
 }
 
 Vector UpdatableQR::solve() const {
-  Vector x(qty_.data(), qty_.data() + size_);
+  Vector x(size_);
+  solve_into(x);
+  return x;
+}
+
+void UpdatableQR::solve_into(std::span<double> x) const {
+  if (x.size() != size_) {
+    throw std::invalid_argument("UpdatableQR::solve_into: size mismatch");
+  }
+  std::copy(qty_.begin(), qty_.begin() + size_, x.begin());
   for (std::size_t ii = size_; ii-- > 0;) {
     for (std::size_t j = ii + 1; j < size_; ++j) {
       x[ii] -= r_[tri_offset(j) + ii] * x[j];
     }
     x[ii] /= r_[tri_offset(ii) + ii];
   }
-  return x;
 }
 
 std::span<const double> UpdatableQR::q_column(std::size_t j) const {

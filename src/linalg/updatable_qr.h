@@ -77,6 +77,11 @@ class UpdatableQR {
   /// on the held Q^T y.  O(k^2).
   Vector solve() const;
 
+  /// solve() into a caller-owned buffer of size(), overwriting it: the
+  /// per-refit form that allocates nothing.  Throws std::invalid_argument
+  /// on a size mismatch.
+  void solve_into(std::span<double> x) const;
+
   /// j-th orthonormal basis column of Q (valid until the next append or
   /// remove_last).
   std::span<const double> q_column(std::size_t j) const;

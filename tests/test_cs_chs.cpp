@@ -6,13 +6,17 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "cs/chs.h"
 #include "cs/error_model.h"
 #include "linalg/basis.h"
 #include "linalg/random.h"
 #include "linalg/vector_ops.h"
+#include "support/selection_oracle.h"
 #include "support/upsilon_oracle.h"
 
 namespace sc = sensedroid::cs;
@@ -265,6 +269,150 @@ TEST(Interpolation, StencilMatchesOracleOnZoneShapes) {
   }
   EXPECT_GT(tails, 0u);
   EXPECT_GT(ties, 0u);
+}
+
+// The 2-D scan runs on 16-bit lanes while every squared distance on the
+// grid is below INT16_MAX (and m is too), else on doubles.  Shapes on
+// both sides of that line: 128x128 (largest d2 2 * 127^2 = 32258) and
+// 129x129 (32768), one column of height 182 (181^2 = 32761) and 183
+// (33124), and the 64x64 zone at m = 512.  A plan packed into the first
+// grid points leaves the far corner at the largest distance the shape
+// has, which an overflowing lane would get wrong.  The oracle is O(N M),
+// so the large shapes take few draws.
+TEST(Interpolation, StencilMatchesOracleAcrossLaneWidths) {
+  namespace ts = sensedroid::test_support;
+  struct Shape {
+    std::size_t height, width, m;
+  };
+  const Shape shapes[] = {{128, 128, 96}, {129, 129, 96}, {182, 1, 24},
+                          {183, 1, 24},   {64, 64, 512}};
+  sl::Rng rng(20261019);
+  for (const Shape& shape : shapes) {
+    const std::size_t n = shape.height * shape.width;
+    for (const auto kind :
+         {sc::Interpolation::kLinear, sc::Interpolation::kNearest}) {
+      for (int plan = 0; plan < 3; ++plan) {
+        // Packed into the first grid points, one sample, or uniform.
+        std::vector<std::size_t> loc;
+        if (plan == 0) {
+          for (std::size_t s = 0; s < 5; ++s) loc.push_back(s);
+        } else if (plan == 1) {
+          loc.push_back(rng.uniform_index(n));
+        } else {
+          loc = rng.sample_without_replacement(n, shape.m);
+        }
+        const sc::Upsilon upsilon(loc, n, shape.height, kind);
+        sl::Vector v(loc.size());
+        for (double& x : v) x = rng.gaussian(0.0, 1.0);
+        const auto want = ts::oracle_interpolate_to_grid_2d(
+            v, loc, n, shape.height, kind);
+        ASSERT_TRUE(same_bits(upsilon.apply(v), want))
+            << shape.height << "x" << shape.width << " m=" << loc.size()
+            << " plan " << plan << " kind=" << static_cast<int>(kind);
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------ batch pick ----
+
+// Differential check of step (c) against the oracle that keeps it as it
+// ran with a full sort.  Draws quantize alpha so exact ties fall at and
+// inside the batch boundary, and mix in +/- pairs, zeros, NaNs and
+// infinities; supports run from empty through all atoms but one to all
+// atoms; significance is 0, 0.1, 1, above 1 or negative; want runs 1..8,
+// at and past the eligible count.  One batch buffer serves every draw,
+// as one serves every iteration of a solve.
+TEST(PickBatch, MatchesStepCOracle) {
+  namespace ts = sensedroid::test_support;
+  constexpr int kDraws = 1200;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  sl::Rng rng(20261020);
+  std::vector<std::size_t> batch;
+  std::size_t boundary_ties = 0, inside_ties = 0, want_covers = 0;
+  std::size_t stops = 0, with_nan = 0;
+  std::size_t empty_support = 0, all_but_one = 0, full_support = 0;
+  for (int d = 0; d < kDraws; ++d) {
+    const std::size_t n = 1 + rng.uniform_index(64);
+    const bool quantized = rng.bernoulli(0.6);
+    sl::Vector alpha(n);
+    for (double& a : alpha) {
+      a = quantized ? static_cast<double>(rng.uniform_index(4)) * 0.25
+                    : rng.gaussian(0.0, 1.0);
+      if (rng.bernoulli(0.5)) a = -a;
+    }
+    for (std::size_t j = 1; j < n; ++j) {
+      if (rng.bernoulli(0.1)) alpha[j] = -alpha[j - 1];  // a +/- pair
+      if (rng.bernoulli(0.05)) alpha[j] = 0.0;
+    }
+    if (rng.bernoulli(0.2)) {
+      alpha[rng.uniform_index(n)] = rng.bernoulli(0.5) ? kNaN : -kNaN;
+      ++with_nan;
+    }
+    if (rng.bernoulli(0.03)) alpha[rng.uniform_index(n)] = -kInf;
+
+    std::vector<std::uint8_t> in_support(n, 0);
+    std::size_t support = 0;
+    switch (rng.uniform_index(4)) {
+      case 0: support = 0; break;
+      case 1: support = n - 1; break;
+      case 2: support = rng.bernoulli(0.2) ? n : 0; break;
+      default: support = rng.uniform_index(n); break;
+    }
+    for (const std::size_t j : rng.sample_without_replacement(n, support)) {
+      in_support[j] = 1;
+    }
+    empty_support += support == 0;
+    all_but_one += n > 1 && support == n - 1;
+    full_support += support == n;
+
+    constexpr double kSignificance[] = {0.0, 0.1, 1.0, 1.5, -0.5};
+    const double significance = kSignificance[rng.uniform_index(5)];
+    const std::size_t want = 1 + rng.uniform_index(8);
+
+    const auto expected =
+        ts::oracle_pick_batch(alpha, in_support, significance, want);
+    const std::size_t take =
+        sc::pick_batch(alpha, in_support, significance, want, batch);
+    ASSERT_EQ(take, expected.size()) << "draw " << d;
+    if (take > 0) {
+      ASSERT_EQ(0, std::memcmp(batch.data(), expected.data(),
+                               take * sizeof(std::size_t)))
+          << "draw " << d << " n=" << n << " want=" << want;
+    }
+
+    // Which case the draw reached, read off the full sort's magnitudes.
+    double max_mag = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!in_support[j]) max_mag = std::max(max_mag, std::abs(alpha[j]));
+    }
+    std::vector<double> eligible;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!in_support[j] && std::abs(alpha[j]) >= significance * max_mag) {
+        eligible.push_back(std::abs(alpha[j]));
+      }
+    }
+    std::sort(eligible.begin(), eligible.end(), std::greater<>());
+    stops += take == 0;
+    want_covers += max_mag > 0.0 && want >= eligible.size();
+    boundary_ties += take > 0 && take < eligible.size() &&
+                     eligible[take - 1] == eligible[take];
+    for (std::size_t i = 0; i + 1 < take; ++i) {
+      if (eligible[i] == eligible[i + 1]) {
+        ++inside_ties;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(boundary_ties, 0u);  // the draws that take the select_batch path
+  EXPECT_GT(inside_ties, 0u);
+  EXPECT_GT(want_covers, 0u);
+  EXPECT_GT(stops, 0u);
+  EXPECT_GT(with_nan, 0u);
+  EXPECT_GT(empty_support, 0u);
+  EXPECT_GT(all_but_one, 0u);
+  EXPECT_GT(full_support, 0u);
 }
 
 // --------------------------------------------------------------- CHS ----

@@ -76,6 +76,16 @@ Vector column_store(const Matrix& phi_rows,
   return store;
 }
 
+// CachedRefit::solve on a store of whole columns of length m, into a
+// new buffer; nullopt when the cache declines.
+std::optional<Vector> cached_solve(sc::CachedRefit& cached,
+                                   std::span<const double> store,
+                                   std::size_t m) {
+  Vector coef(store.size() / m);
+  if (!cached.solve(store, coef)) return std::nullopt;
+  return coef;
+}
+
 // How a draw's noise model looks.
 enum class Noise { kOls, kPositive, kSomeZero, kAllZero, kTiers };
 
@@ -190,8 +200,8 @@ TEST(CachedRefit, MatchesFreshRefitOverSeededSupports) {
         refits.push_back(&before);  // the batch rolled back: a shorter prefix
       }
       for (const std::vector<std::size_t>* s : refits) {
-        const std::optional<Vector> got =
-            cached.solve(std::span<const double>(store).first(s->size() * m));
+        const std::optional<Vector> got = cached_solve(
+            cached, std::span<const double>(store).first(s->size() * m), m);
         ASSERT_TRUE(got.has_value());
         const double err = rel_err(*got, fresh_refit(phi_rows, *s, y, sigma));
         EXPECT_LE(err, kRelTol);
@@ -225,8 +235,8 @@ TEST(CachedRefit, AllZeroNoiseIsTheOlsPath) {
   sc::CachedRefit ols(y, {}, 8);
   const std::vector<std::size_t> support = {0, 3, 9, 17, 30};
   const Vector store = column_store(phi_rows, support);
-  const Vector a = *gls.solve(store);
-  const Vector b = *ols.solve(store);
+  const Vector a = *cached_solve(gls, store, 20);
+  const Vector b = *cached_solve(ols, store, 20);
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)));
   EXPECT_LE(rel_err(a, sc::solve_ols(phi_rows.select_cols(support), y)),
@@ -256,12 +266,14 @@ TEST(CachedRefit, DependentColumnDeclinesAndTheFreshPathFallsToRidge) {
   const Vector sigma = draw_sigma(Noise::kSomeZero, 16, rng);
   sc::CachedRefit cached(y, sigma, 6);
   const std::vector<std::size_t> dependent = {0, 1, 4};
-  EXPECT_FALSE(cached.solve(column_store(phi_rows, dependent)).has_value());
+  EXPECT_FALSE(
+      cached_solve(cached, column_store(phi_rows, dependent), 16).has_value());
   // The registry solver declines too, which is what sends CHS to ridge.
   EXPECT_THROW(fresh_refit(phi_rows, dependent, y, sigma), std::runtime_error);
   // The cache recovers on the next well-posed support.
   const std::vector<std::size_t> good = {0, 1, 2, 5};
-  const std::optional<Vector> got = cached.solve(column_store(phi_rows, good));
+  const std::optional<Vector> got =
+      cached_solve(cached, column_store(phi_rows, good), 16);
   ASSERT_TRUE(got.has_value());
   EXPECT_LE(rel_err(*got, fresh_refit(phi_rows, good, y, sigma)), kRelTol);
 }

@@ -188,4 +188,31 @@ TEST(UpdatableQr, ValidatesArguments) {
   EXPECT_TRUE(qr.qty().empty());
 }
 
+// solve_into overwrites a caller's buffer with exactly solve()'s bits,
+// whatever the buffer held, after appends and after a remove_last.
+TEST(UpdatableQr, SolveIntoWritesSolveBits) {
+  const std::size_t m = 14;
+  const Matrix a = random_matrix(m, 6, 401);
+  Rng rng(402);
+  const Vector y = rng.gaussian_vector(m);
+  UpdatableQR qr(m, y, 6);
+  Vector col(m);
+  const auto check = [&] {
+    Vector x(qr.size(), std::nan(""));
+    qr.solve_into(x);
+    const Vector want = qr.solve();
+    ASSERT_EQ(want.size(), x.size());
+    EXPECT_EQ(0, std::memcmp(x.data(), want.data(), x.size() * sizeof(double)));
+  };
+  for (std::size_t j = 0; j < 6; ++j) {
+    a.col_into(j, col);
+    ASSERT_TRUE(qr.append_column(col));
+    check();
+  }
+  qr.remove_last();
+  check();
+  Vector wrong(qr.size() + 1);
+  EXPECT_THROW(qr.solve_into(wrong), std::invalid_argument);
+}
+
 }  // namespace
