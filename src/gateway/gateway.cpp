@@ -11,7 +11,9 @@ namespace sensedroid::gateway {
 
 // Per-connection state: an incremental frame parser.  Every complete
 // frame is answered with one status byte; a bad length prefix ends the
-// connection.
+// connection.  All frames of one socket read are decoded and cached
+// first and then handed to the queue in one push, so the drain thread
+// is woken once per read, not once per frame.
 class Gateway::Conn final : public net::Session {
  public:
   explicit Conn(Gateway& g) : g_(g) {
@@ -26,14 +28,19 @@ class Gateway::Conn final : public net::Session {
     g_.bytes_rx_.fetch_add(in.size(), std::memory_order_relaxed);
     splitter_.feed({reinterpret_cast<const std::uint8_t*>(in.data()),
                     in.size()});
+    const std::size_t first = out.size();
     for (;;) {
       const FrameSplitter::Status st = splitter_.next(frame_);
-      if (st == FrameSplitter::Status::kNeedMore) return net::Next::kRead;
-      if (st == FrameSplitter::Status::kViolation) {
-        g_.violations_.fetch_add(1, std::memory_order_relaxed);
-        return net::Next::kDrop;
+      if (st == FrameSplitter::Status::kFrame) {
+        out.push_back(static_cast<char>(g_.decode(frame_)));
+        continue;
       }
-      out.push_back(static_cast<char>(g_.ingest(frame_)));
+      // End of the read's complete frames.  Those before a bad length
+      // prefix are still enqueued before the drop.
+      g_.enqueue_pending(std::span<char>(out).subspan(first));
+      if (st == FrameSplitter::Status::kNeedMore) return net::Next::kRead;
+      g_.violations_.fetch_add(1, std::memory_order_relaxed);
+      return net::Next::kDrop;
     }
   }
 
@@ -103,7 +110,10 @@ Gateway::Stats Gateway::stats() const noexcept {
   return s;
 }
 
-IngestStatus Gateway::ingest(std::span<const std::uint8_t> frame) {
+// Counts and decodes one frame.  A decoded frame updates the cache and
+// joins the read's pending batch; its kAck is a placeholder until
+// enqueue_pending() learns whether the queue took it.
+IngestStatus Gateway::decode(std::span<const std::uint8_t> frame) {
   frames_.fetch_add(1, std::memory_order_relaxed);
   auto msg = middleware::decode_message(frame);
   if (!msg.has_value()) {
@@ -113,12 +123,27 @@ IngestStatus Gateway::ingest(std::span<const std::uint8_t> frame) {
   // Cache BEFORE the queue decision: overload sheds throughput, not
   // last-known-state visibility (sensd contract, DESIGN.md §14).
   cache_->update(*msg);
-  if (queue_->try_push(IngestItem{std::move(*msg), Clock::now()})) {
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    return IngestStatus::kAck;
+  pending_.push_back(IngestItem{std::move(*msg), {}});
+  return IngestStatus::kAck;
+}
+
+// Pushes the pending batch with one clock read, one lock and one
+// wake-up.  `statuses` are the read's status bytes, in frame order: the
+// queue takes the longest prefix that fits, so the first `n` kAck
+// placeholders stand and the rest turn kBusy.
+void Gateway::enqueue_pending(std::span<char> statuses) {
+  if (pending_.empty()) return;
+  const auto now = Clock::now();
+  for (IngestItem& item : pending_) item.enqueued = now;
+  const std::size_t n = queue_->push(pending_);
+  accepted_.fetch_add(n, std::memory_order_relaxed);
+  busy_.fetch_add(pending_.size() - n, std::memory_order_relaxed);
+  std::size_t placeholder = 0;
+  for (char& st : statuses) {
+    if (st != static_cast<char>(IngestStatus::kAck)) continue;
+    if (placeholder++ >= n) st = static_cast<char>(IngestStatus::kBusy);
   }
-  busy_.fetch_add(1, std::memory_order_relaxed);
-  return IngestStatus::kBusy;
+  pending_.clear();
 }
 
 // With telemetry attached the publish cadence bounds the reactor's

@@ -37,6 +37,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "gateway/framing.h"
 #include "gateway/ingest_queue.h"
@@ -127,7 +128,8 @@ class Gateway {
   using Clock = std::chrono::steady_clock;
   class Conn;
 
-  IngestStatus ingest(std::span<const std::uint8_t> frame);
+  IngestStatus decode(std::span<const std::uint8_t> frame);
+  void enqueue_pending(std::span<char> statuses);
   int tick();
   void publish_metrics();
   void drain_loop();
@@ -148,6 +150,11 @@ class Gateway {
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> sink_errors_{0};
   std::atomic<std::uint64_t> bytes_rx_{0};
+
+  // The decoded frames of the socket read in progress, awaiting their
+  // one push.  Every session runs on the reactor's single serve thread,
+  // so one buffer serves them all and is reused read after read.
+  std::vector<IngestItem> pending_;
 
   // gw.* publishing state: the serve thread's tick, then stop() after
   // the reactor has joined.

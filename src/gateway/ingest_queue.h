@@ -2,15 +2,17 @@
 // delivery (sink) thread.
 //
 // The backpressure contract (DESIGN.md §14): the queue NEVER grows past
-// its capacity.  When it is full, try_push fails and the gateway answers
-// the publisher with IngestStatus::kBusy — load sheds at the edge, at a
-// cost the publisher can see and retry, instead of accumulating in
-// memory until the daemon dies.  This is deliberate sensd/MOSDEN idiom:
-// an overloaded collector must refuse, never queue unboundedly.
+// its capacity.  push() takes only the prefix that fits, and the gateway
+// answers the publisher for every frame past it with IngestStatus::kBusy
+// — load sheds at the edge, at a cost the publisher can see and retry,
+// instead of accumulating in memory until the daemon dies.  This is
+// deliberate sensd/MOSDEN idiom: an overloaded collector must refuse,
+// never queue unboundedly.
 //
-// Plain mutex + condvar: the socket thread pushes decoded messages one
-// at a time, the sink thread pops in batches (amortizing the lock), and
-// with two threads there is nothing for a lock-free design to win.
+// Plain mutex + condvar, batched on both sides: the socket thread pushes
+// all decoded messages of one socket read under one lock and one
+// wake-up, the sink thread pops in batches, and with two threads there
+// is nothing for a lock-free design to win.
 #pragma once
 
 #include <algorithm>
@@ -18,7 +20,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <iterator>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -43,16 +47,22 @@ class IngestQueue {
     }
   }
 
-  /// Non-blocking; false when full (backpressure) or closed.
-  bool try_push(IngestItem&& item) {
+  /// Non-blocking.  Moves the longest prefix of `items` that fits into
+  /// the queue and returns its length; the items past it are left in
+  /// the span.  0 when full (backpressure) or closed.  One lock, and one
+  /// wake-up of the popper only when something was moved.
+  std::size_t push(std::span<IngestItem> items) {
+    std::size_t n = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
+      if (closed_) return 0;
+      n = std::min(items.size(), capacity_ - items_.size());
+      const auto moved = std::make_move_iterator(items.begin());
+      items_.insert(items_.end(), moved, moved + n);
       peak_depth_ = std::max(peak_depth_, items_.size());
     }
-    cv_.notify_one();
-    return true;
+    if (n > 0) cv_.notify_one();
+    return n;
   }
 
   /// Moves up to `max` items into `out` (appended), waiting up to `wait`

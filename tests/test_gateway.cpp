@@ -1,9 +1,10 @@
-// Gateway suite: framing splitter, bounded ingest queue, last-report
-// cache, and socket-level acceptance of the ingest daemon (acks,
-// backpressure, connection cap, slowloris sweep, mid-frame disconnects,
-// UDS, metrics).  The socket tests run against a live Gateway on
-// loopback/abstract paths with aggressively small limits so every
-// defensive bound is actually crossed.
+// Gateway suite: framing splitter, bounded ingest queue and its batched
+// push, last-report cache, and socket-level acceptance of the ingest
+// daemon (acks, backpressure within one write, connection cap, slowloris
+// sweep, mid-frame disconnects and violations, UDS, metrics).  The
+// socket tests run against a live Gateway on loopback/abstract paths
+// with aggressively small limits so every defensive bound is actually
+// crossed.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -13,6 +14,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -181,6 +183,13 @@ struct CollectSink {
   }
 };
 
+// Pushes one message as a one-item batch; returns how many the queue
+// took (0 or 1).
+std::size_t push_one(gw::IngestQueue& q, mw::Message msg) {
+  gw::IngestItem item{std::move(msg), {}};
+  return q.push({&item, 1});
+}
+
 bool wait_until(const std::function<bool()>& pred, double timeout_s = 5.0) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_s);
@@ -270,9 +279,9 @@ TEST(FrameSplitter, ExactCeilingFrameAccepted) {
 
 TEST(IngestQueue, BackpressureWhenFull) {
   gw::IngestQueue q(2);
-  EXPECT_TRUE(q.try_push({record_message(1, 1.0), {}}));
-  EXPECT_TRUE(q.try_push({record_message(2, 2.0), {}}));
-  EXPECT_FALSE(q.try_push({record_message(3, 3.0), {}}));  // full: rejected
+  EXPECT_EQ(push_one(q, record_message(1, 1.0)), 1u);
+  EXPECT_EQ(push_one(q, record_message(2, 2.0)), 1u);
+  EXPECT_EQ(push_one(q, record_message(3, 3.0)), 0u);  // full: rejected
   EXPECT_EQ(q.depth(), 2u);
   EXPECT_EQ(q.peak_depth(), 2u);
 
@@ -280,17 +289,64 @@ TEST(IngestQueue, BackpressureWhenFull) {
   EXPECT_EQ(q.pop_batch(out, 10, std::chrono::milliseconds(10)), 2u);
   EXPECT_EQ(out[0].msg.sender, 1u);
   EXPECT_EQ(out[1].msg.sender, 2u);
-  EXPECT_TRUE(q.try_push({record_message(4, 4.0), {}}));  // space again
+  EXPECT_EQ(push_one(q, record_message(4, 4.0)), 1u);  // space again
 }
 
 TEST(IngestQueue, CloseDrainsRemainingThenStops) {
   gw::IngestQueue q(4);
-  EXPECT_TRUE(q.try_push({record_message(1, 1.0), {}}));
+  EXPECT_EQ(push_one(q, record_message(1, 1.0)), 1u);
   q.close();
-  EXPECT_FALSE(q.try_push({record_message(2, 2.0), {}}));
+  EXPECT_EQ(push_one(q, record_message(2, 2.0)), 0u);
   std::vector<gw::IngestItem> out;
   EXPECT_EQ(q.pop_batch(out, 10, std::chrono::milliseconds(10)), 1u);
   EXPECT_EQ(q.pop_batch(out, 10, std::chrono::milliseconds(1)), 0u);
+}
+
+TEST(IngestQueue, PushTakesTheLongestPrefixThatFits) {
+  const auto batch = [](mw::NodeId first, std::size_t n) {
+    std::vector<gw::IngestItem> items;
+    for (std::size_t i = 0; i < n; ++i) {
+      items.push_back({record_message(first + static_cast<mw::NodeId>(i),
+                                      1.0),
+                       {}});
+    }
+    return items;
+  };
+  // An item the queue did not take still holds its message.
+  const auto untouched = [](const gw::IngestItem& item, mw::NodeId sender) {
+    return item.msg.sender == sender && item.msg.topic == "sensor/temperature";
+  };
+  gw::IngestQueue q(5);
+  auto shorter = batch(1, 2);  // room 5
+  EXPECT_EQ(q.push(shorter), 2u);
+  auto equal = batch(3, 3);  // room 3
+  EXPECT_EQ(q.push(equal), 3u);
+  auto full = batch(6, 1);  // room 0
+  EXPECT_EQ(q.push(full), 0u);
+  EXPECT_TRUE(untouched(full[0], 6));
+  EXPECT_EQ(q.push({}), 0u);
+
+  std::vector<gw::IngestItem> out;
+  ASSERT_EQ(q.pop_batch(out, 2, std::chrono::milliseconds(10)), 2u);
+  auto longer = batch(10, 4);  // room 2
+  EXPECT_EQ(q.push(longer), 2u);
+  EXPECT_TRUE(untouched(longer[2], 12));
+  EXPECT_TRUE(untouched(longer[3], 13));
+  EXPECT_EQ(q.depth(), 5u);
+  EXPECT_EQ(q.peak_depth(), 5u);
+  EXPECT_LE(q.peak_depth(), q.capacity());
+
+  // Moved items arrive in span order, behind what was queued before.
+  ASSERT_EQ(q.pop_batch(out, 10, std::chrono::milliseconds(10)), 5u);
+  std::vector<mw::NodeId> senders;
+  for (const gw::IngestItem& item : out) senders.push_back(item.msg.sender);
+  EXPECT_EQ(senders, (std::vector<mw::NodeId>{1, 2, 3, 4, 5, 10, 11}));
+
+  q.close();
+  auto late = batch(20, 3);  // room 5, but closed
+  EXPECT_EQ(q.push(late), 0u);
+  EXPECT_TRUE(untouched(late[0], 20));
+  EXPECT_EQ(q.depth(), 0u);
 }
 
 TEST(IngestQueue, ZeroCapacityThrows) {
@@ -424,6 +480,119 @@ TEST(GatewaySocket, BusyBackpressureNeverGrowsQueue) {
   EXPECT_EQ(g.cache().size(), kFrames);
   g.stop();
   EXPECT_EQ(g.stats().delivered, ok);  // busy frames were truly shed
+}
+
+TEST(GatewaySocket, OneWriteAcksAPrefixThenBusy) {
+  // The sink holds every message until `open`, so a 4-deep queue fills
+  // and never drains while the 12-frame write is answered.  A priming
+  // frame first parks the drain thread inside the sink with the queue
+  // empty.
+  std::atomic<bool> open{false};
+  std::atomic<bool> parked{false};
+  CollectSink delivered;
+  gw::GatewayConfig cfg;
+  cfg.queue_depth = 4;
+  gw::Gateway g(cfg, [&](const mw::Message& m) {
+    parked.store(true);
+    while (!open.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    delivered.fn()(m);
+  });
+  // Destroyed before the gateway: a failed assertion still lets stop()
+  // drain instead of waiting on a parked sink forever.
+  struct Opener {
+    std::atomic<bool>& flag;
+    ~Opener() { flag.store(true); }
+  } opener{open};
+  ASSERT_TRUE(g.start());
+
+  auto client = Client::tcp(g.tcp_port());
+  client.send_message(record_message(99, 1.0));
+  ASSERT_EQ(client.read_acks(1),
+            (std::vector<std::uint8_t>{
+                static_cast<std::uint8_t>(gw::IngestStatus::kAck)}));
+  ASSERT_TRUE(wait_until([&] { return parked.load(); }));
+
+  constexpr std::size_t kFrames = 12;
+  constexpr std::size_t kCorrupt = 2;
+  std::vector<std::uint8_t> write;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    auto wire =
+        mw::encode_message(record_message(static_cast<mw::NodeId>(100 + i),
+                                          static_cast<double>(i)));
+    if (i == kCorrupt) wire.back() ^= 0xFF;
+    const auto framed = gw::frame_prefixed(wire);
+    write.insert(write.end(), framed.begin(), framed.end());
+  }
+  client.send_bytes(write);
+  const auto acks = client.read_acks(kFrames);
+  ASSERT_EQ(acks.size(), kFrames);
+
+  std::vector<std::uint8_t> expected;
+  std::vector<mw::NodeId> acked{99};
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    gw::IngestStatus st = gw::IngestStatus::kBusy;
+    if (i == kCorrupt) {
+      st = gw::IngestStatus::kBad;
+    } else if (acked.size() <= cfg.queue_depth) {
+      st = gw::IngestStatus::kAck;
+      acked.push_back(static_cast<mw::NodeId>(100 + i));
+    }
+    expected.push_back(static_cast<std::uint8_t>(st));
+  }
+  EXPECT_EQ(acks, expected);
+
+  // Every decodable sender reached the cache, shed or not.
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(g.cache().latest(static_cast<mw::NodeId>(100 + i)).has_value(),
+              i != kCorrupt)
+        << "frame " << i;
+  }
+  const auto s = g.stats();
+  EXPECT_EQ(s.frames, kFrames + 1);
+  EXPECT_EQ(s.accepted, acked.size());
+  EXPECT_EQ(s.busy_rejected, kFrames - 1 - cfg.queue_depth);
+  EXPECT_EQ(s.decode_errors, 1u);
+  EXPECT_EQ(s.queue_peak_depth, cfg.queue_depth);
+
+  open.store(true);
+  g.stop();
+  std::vector<mw::NodeId> senders;
+  for (const mw::Message& m : delivered.msgs) senders.push_back(m.sender);
+  EXPECT_EQ(senders, acked);
+  EXPECT_EQ(g.stats().delivered, acked.size());
+}
+
+TEST(GatewaySocket, FramesBeforeAViolationAreDelivered) {
+  CollectSink sink;
+  gw::Gateway g(gw::GatewayConfig{}, sink.fn());
+  ASSERT_TRUE(g.start());
+
+  auto client = Client::tcp(g.tcp_port());
+  std::vector<std::uint8_t> write;
+  for (mw::NodeId id = 1; id <= 3; ++id) {
+    const auto framed = gw::encode_framed(record_message(id, 20.0));
+    write.insert(write.end(), framed.begin(), framed.end());
+  }
+  const std::uint32_t bogus = 5;  // < kMinFrameBytes
+  const auto* prefix = reinterpret_cast<const std::uint8_t*>(&bogus);
+  write.insert(write.end(), prefix, prefix + sizeof(bogus));
+  client.send_bytes(write);
+  // Status bytes owed before the drop may or may not reach the peer.
+  client.read_acks(3);
+  EXPECT_TRUE(client.eof());
+
+  ASSERT_TRUE(sink.wait_for(3));
+  g.stop();
+  std::vector<mw::NodeId> senders;
+  for (const mw::Message& m : sink.msgs) senders.push_back(m.sender);
+  EXPECT_EQ(senders, (std::vector<mw::NodeId>{1, 2, 3}));
+  const auto s = g.stats();
+  EXPECT_EQ(s.framing_violations, 1u);
+  EXPECT_EQ(s.accepted, 3u);
+  EXPECT_EQ(s.delivered, 3u);
+  EXPECT_GE(s.connections_dropped, 1u);
 }
 
 TEST(GatewaySocket, BadFrameAckedBadAndConnectionSurvives) {
