@@ -1,6 +1,8 @@
 #include "exec/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <optional>
 #include <stdexcept>
 
@@ -71,43 +73,94 @@ void ThreadPool::worker_loop() {
   }
 }
 
+namespace {
+
+/// One index's outputs, filled by whichever thread claimed the index.
+struct Slot {
+  obs::MetricJournal journal;
+  obs::TraceLog trace;
+  std::exception_ptr error;
+};
+
+/// What one fan_out's threads share.  The helpers co-own it, so a
+/// helper that starts after fan_out has returned still finds a live
+/// counter: it claims an index at or past n and leaves.  `task` and
+/// `slots` live in fan_out's frame; a thread reaches them only through
+/// an index it claimed below n, and fan_out does not return while such
+/// an index is still running.
+struct Claims {
+  Claims(std::size_t n, const std::function<void(std::size_t)>& task,
+         Slot* slots, bool journaled, bool traced)
+      : n(n), task(task), slots(slots), journaled(journaled),
+        traced(traced) {}
+
+  const std::size_t n;
+  const std::function<void(std::size_t)>& task;
+  Slot* const slots;
+  const bool journaled;
+  const bool traced;
+  std::atomic<std::size_t> next{0};
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t done = 0;     // indices ended
+  std::size_t awaited = 0;  // what wait() waits for; 0 = no waiter yet
+
+  /// Claims and runs indices until none is left.
+  void run() {
+    for (std::size_t i;
+         (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      Slot& slot = slots[i];
+      try {
+        std::optional<obs::ScopedMetricJournal> bind;
+        if (journaled) bind.emplace(&slot.journal);
+        // Binding the shard also isolates the thread's trace context,
+        // so the shard's roots stay unparented until merge_from.
+        std::optional<obs::ScopedTraceShard> bind_trace;
+        if (traced) bind_trace.emplace(&slot.trace);
+        task(i);
+      } catch (...) {
+        slot.error = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (++done == awaited) cv.notify_one();
+    }
+  }
+
+  /// Returns once `count` indices have ended.
+  void wait(std::size_t count) {
+    std::unique_lock<std::mutex> lock(mu);
+    awaited = count;
+    cv.wait(lock, [this] { return done == awaited; });
+  }
+};
+
+}  // namespace
+
 void fan_out(ThreadPool& pool, std::size_t n,
              const std::function<void(std::size_t)>& task) {
-  struct Slot {
-    obs::MetricJournal journal;
-    obs::TraceLog trace;
-  };
-  const bool journaled = obs::attached();
+  if (n == 0) return;
   obs::TraceLog* log = obs::trace_sink();
   const std::uint64_t parent = obs::TraceContext::current().parent;
   std::vector<Slot> slots(n);
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  // Every task references this frame, so it is not left (not even by a
-  // submit that throws after shutdown) until all submitted tasks ended.
-  const auto barrier = [&futures] {
-    for (auto& f : futures) f.wait();
-  };
-  for (std::size_t i = 0; i < n; ++i) {
+  const auto claims = std::make_shared<Claims>(n, task, slots.data(),
+                                               obs::attached(),
+                                               log != nullptr);
+  // The caller claims too, so one helper fewer than tasks is enough.
+  const std::size_t helpers = std::min(n - 1, pool.worker_count());
+  for (std::size_t h = 0; h < helpers; ++h) {
     try {
-      futures.push_back(pool.submit([&task, &slots, journaled,
-                                     traced = log != nullptr, i] {
-        std::optional<obs::ScopedMetricJournal> bind;
-        if (journaled) bind.emplace(&slots[i].journal);
-        // Binding the shard also isolates the worker's trace context, so
-        // the shard's roots stay unparented until merge_from below.
-        std::optional<obs::ScopedTraceShard> bind_trace;
-        if (traced) bind_trace.emplace(&slots[i].trace);
-        task(i);
-      }));
+      pool.submit([claims] { claims->run(); });
     } catch (...) {
-      barrier();
+      // Stop new claims and wait for the ones already made.
+      claims->wait(std::min(claims->next.exchange(n), n));
       throw;
     }
   }
-  barrier();
+  claims->run();
+  claims->wait(n);
   for (std::size_t i = 0; i < n; ++i) {
-    futures[i].get();  // rethrows, lowest index first
+    if (slots[i].error) std::rethrow_exception(slots[i].error);
     slots[i].journal.replay();
     if (log != nullptr) log->merge_from(slots[i].trace, parent);
   }

@@ -28,8 +28,9 @@ namespace sensedroid::exec {
 /// (or shutdown()) finishes every already-queued task, then joins.
 /// submit() is thread-safe and may be called from worker threads (tasks
 /// may spawn subtasks), but a task must never block on a future of a
-/// task queued *behind* it on a 1-worker pool — fan_out()'s fan-out /
-/// join structure never does.
+/// task queued *behind* it on a 1-worker pool.  fan_out() never waits
+/// for a job that has not started, so it may be called from inside a
+/// task of the same pool, even a 1-worker one.
 class ThreadPool {
  public:
   /// Spawns `workers` threads; 0 picks std::thread::hardware_concurrency
@@ -85,16 +86,24 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Runs task(0..n-1) across the pool and returns once every task has
-/// finished.  Each task's metric-helper calls go to its own
-/// obs::MetricJournal (bound only when the calling thread is attached)
-/// and its spans to its own trace shard (only when tracing is on).  In
-/// index order, each journal is then replayed and each shard merged
-/// into the calling thread's sinks, the spans re-parented under the span
-/// open at the call.  The caller's metrics and trace thus read as if
-/// task(0..n-1) had run inline, in order, at any worker count.  The
-/// lowest-index task exception is rethrown once every task has
-/// finished; the tasks below it have been replayed by then.
+/// Runs task(0..n-1) on the calling thread and the pool's workers and
+/// returns once every task has finished.  The caller and up to
+/// min(n-1, worker_count()) helper jobs claim indices from one shared
+/// counter, so a fan-out on an N-worker pool runs on up to N+1 threads.
+/// A helper reaches the caller's state only through an index it
+/// claimed; one that starts late finds none left, so the caller never
+/// waits for a helper that is still queued, and a fan_out from inside a
+/// task of the same pool completes.  Each task's metric-helper calls go
+/// to its own obs::MetricJournal (bound only when the calling thread is
+/// attached) and its spans to its own trace shard (only when tracing is
+/// on), on whichever thread runs it.  In index order, each journal is
+/// then replayed and each shard merged into the calling thread's sinks,
+/// the spans re-parented under the span open at the call.  The caller's
+/// metrics and trace thus read as if task(0..n-1) had run inline, in
+/// order, at any worker count.  The lowest-index task exception is
+/// rethrown once every task has finished; the tasks below it have been
+/// replayed by then.  With n >= 2 on a shut-down pool it throws
+/// std::runtime_error and runs no task; n <= 1 never touches the pool.
 void fan_out(ThreadPool& pool, std::size_t n,
              const std::function<void(std::size_t)>& task);
 

@@ -206,10 +206,10 @@ void Reactor::service(int fd, std::uint32_t events) {
     if (got > 0) {
       const Next next =
           c.session->on_data(std::string_view(rx_.get(), got), c.out);
-      if (next == Next::kDrop) return end(fd, false);
-      if (next == Next::kReply) {
+      if (next != Next::kRead) {
+        // Stop reading; flush what is owed, then end (served on kReply).
         c.reading = false;
-        c.served = true;
+        c.served = next == Next::kReply;
       }
     }
     if (peer_gone && c.reading) {

@@ -42,7 +42,7 @@ namespace sensedroid::net {
 enum class Next : std::uint8_t {
   kRead,   ///< keep reading
   kReply,  ///< stop reading; end as served once the output is flushed
-  kDrop,   ///< end now as dropped
+  kDrop,   ///< stop reading; end as dropped once the output is flushed
 };
 
 /// One connection's protocol state.  Called on the serve thread only.

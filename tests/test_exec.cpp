@@ -8,14 +8,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cs/chs.h"
@@ -91,6 +94,76 @@ TEST(ThreadPool, ShutdownDrainsQueuedWorkThenRejectsNewWork) {
   for (auto& f : futures) EXPECT_NO_THROW(f.get());
   EXPECT_THROW(pool.submit([] { return 0; }), std::runtime_error);
   pool.shutdown();  // idempotent
+}
+
+// ----------------------------------------------------------------- FanOut
+
+TEST(FanOut, RunsOnTheCallerWhileEveryWorkerIsBusy) {
+  se::ThreadPool pool(1);
+  std::promise<void> gate;
+  auto blocker = pool.submit([open = gate.get_future()] { open.wait(); });
+  std::vector<std::thread::id> ran_on(8);
+  auto caller = std::async(std::launch::async, [&] {
+    se::fan_out(pool, ran_on.size(),
+                [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+    return std::this_thread::get_id();
+  });
+  const bool finished = caller.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  gate.set_value();
+  blocker.get();
+  const std::thread::id caller_id = caller.get();
+  EXPECT_TRUE(finished) << "fan_out waited for the busy worker";
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller_id);
+}
+
+TEST(FanOut, NestedOnAOneWorkerPoolCompletes) {
+  se::ThreadPool pool(1);
+  std::atomic<int> inner{0};
+  // The outer tasks run on the worker and on the caller; each fans out
+  // again on the same pool.
+  se::fan_out(pool, 4, [&](std::size_t) {
+    se::fan_out(pool, 4, [&](std::size_t) {
+      inner.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  EXPECT_EQ(inner.load(), 16);
+  auto from_task = pool.submit([&] {
+    se::fan_out(pool, 8, [&](std::size_t) {
+      inner.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  ASSERT_EQ(from_task.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  from_task.get();
+  EXPECT_EQ(inner.load(), 24);
+}
+
+TEST(FanOut, RethrowsTheLowestIndexAfterEveryTaskRan) {
+  se::ThreadPool pool(2);
+  std::vector<std::atomic<int>> ran(16);
+  try {
+    se::fan_out(pool, ran.size(), [&](std::size_t i) {
+      ran[i].fetch_add(1, std::memory_order_relaxed);
+      if (i == 5 || i == 9) throw std::runtime_error(std::to_string(i));
+    });
+    FAIL() << "fan_out did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "5");
+  }
+  for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
+}
+
+TEST(FanOut, ShutDownPoolThrowsAndRunsNothing) {
+  se::ThreadPool pool(2);
+  pool.shutdown();
+  std::atomic<int> ran{0};
+  EXPECT_THROW(se::fan_out(pool, 8,
+                           [&](std::size_t) {
+                             ran.fetch_add(1, std::memory_order_relaxed);
+                           }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 0);
 }
 
 // ---------------------------------------------------------- SolverRegistry

@@ -579,8 +579,12 @@ TEST(GatewaySocket, FramesBeforeAViolationAreDelivered) {
   const auto* prefix = reinterpret_cast<const std::uint8_t*>(&bogus);
   write.insert(write.end(), prefix, prefix + sizeof(bogus));
   client.send_bytes(write);
-  // Status bytes owed before the drop may or may not reach the peer.
-  client.read_acks(3);
+  // The status bytes owed before the drop reach the peer, then EOF.
+  const auto acks = client.read_acks(3);
+  ASSERT_EQ(acks.size(), 3u);
+  for (const std::uint8_t a : acks) {
+    EXPECT_EQ(a, static_cast<std::uint8_t>(gw::IngestStatus::kAck));
+  }
   EXPECT_TRUE(client.eof());
 
   ASSERT_TRUE(sink.wait_for(3));
