@@ -89,11 +89,6 @@ struct Slot {
 /// an index it claimed below n, and fan_out does not return while such
 /// an index is still running.
 struct Claims {
-  Claims(std::size_t n, const std::function<void(std::size_t)>& task,
-         Slot* slots, bool journaled, bool traced)
-      : n(n), task(task), slots(slots), journaled(journaled),
-        traced(traced) {}
-
   const std::size_t n;
   const std::function<void(std::size_t)>& task;
   Slot* const slots;
